@@ -8,10 +8,9 @@ from .detector import (
     snr_from_voltage,
     volts_per_carrier,
 )
-from .noise import NoiseSpec, QuadratureError, cds_sigma, psd_value, sample_read_noise
+from .noise import NoiseSpec, QuadratureError, cds_sigma, psd_value
 from .source import PulseConfig, mean_carriers, sample_photocarriers
 from .readout import (
-    FrameRecord,
     FrameRun,
     RunConfig,
     extract_events,
@@ -51,11 +50,9 @@ __all__ = [
     "QuadratureError",
     "cds_sigma",
     "psd_value",
-    "sample_read_noise",
     "PulseConfig",
     "mean_carriers",
     "sample_photocarriers",
-    "FrameRecord",
     "FrameRun",
     "RunConfig",
     "extract_events",

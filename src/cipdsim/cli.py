@@ -20,6 +20,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,9 +32,7 @@ from .config import (
     ConfigError,
     default_config_path,
     load_config,
-    _parse_detector,
-    _parse_noise,
-    _parse_source,
+    parse_config,
 )
 from .detector import snr, volts_per_carrier
 from .estimation import (
@@ -233,28 +232,27 @@ def _cmd_simulate(args, dark: bool) -> int:
 
 
 def _read_events(path: str, column: str | None) -> np.ndarray:
-    text = Path(path).read_text()
+    lines = Path(path).read_text().splitlines()
     if column is not None:
-        reader = csv.DictReader(text.splitlines())
+        reader = csv.DictReader(lines)
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise ValueError(f"column {column!r} not found in {path}")
-        try:
-            values = [float(row[column]) for row in reader]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"non-numeric value in column {column!r}: {exc}") from exc
+        cells = ((reader.line_num, row[column]) for row in reader)
+        expected = f"a number in column {column!r}"
     else:
-        values = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{ln}: expected one number per line, got {line!r} "
-                    "(use --column for CSV input)"
-                ) from exc
+        cells = (
+            (ln, line.strip()) for ln, line in enumerate(lines, start=1) if line.strip()
+        )
+        expected = "one number per line (use --column for CSV input)"
+    values = []
+    for ln, cell in cells:
+        try:
+            value = float(cell)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
+        values.append(value)
     return np.asarray(values, dtype=float)
 
 
@@ -351,7 +349,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_cli_config(args)
     if len(args.param) > 2:
         raise _UsageError("at most two --param options are supported")
-    if cfg.source is None or cfg.raw.get("source") is None:
+    if cfg.source is None:
         raise ConfigError("sweep requires a source section in the config")
     params = [_parse_sweep_param(p) for p in args.param]
 
@@ -377,11 +375,10 @@ def _cmd_sweep(args) -> int:
                 and "delta_t_cds_s" not in keys
             ):
                 raw["noise"]["delta_t_cds_s"] = 0.5 / value
-        det = _parse_detector(raw["detector"])
-        noise = _parse_noise(raw["noise"])
-        source = _parse_source(raw["source"])
-        sigma_e = cds_sigma(noise, det)
-        n_mean = mean_carriers(source, det)
+        point_cfg = parse_config(raw)
+        det = point_cfg.detector
+        sigma_e = cds_sigma(point_cfg.noise, det)
+        n_mean = mean_carriers(point_cfg.source, det)
         derr = discrimination_error(n_mean, sigma_e, mode=args.mode)
         extra = (sigma_e,) if emit_sigma else ()
         rows.append((*point, *extra, snr(det, 1.0, sigma_e), derr))

@@ -72,43 +72,41 @@ def _parse_detector(obj: dict) -> DetectorParams:
         raise ConfigError(f"detector: {exc}") from exc
 
 
+#: NoiseSpec field behind each noise key, by the mode that uses the key.
+_NOISE_FIELDS = {
+    "direct": {"sigma_e": "sigma_e_direct"},
+    "psd": {
+        "s_white_v2hz": "s_white",
+        "a_pink_v2": "a_pink",
+        "f_cutoff_hz": "f_cutoff",
+        "delta_t_cds_s": "delta_t_cds",
+        "f_min_hz": "f_min",
+    },
+}
+_NOISE_REQUIRED = {"direct": {"sigma_e"}, "psd": {"s_white_v2hz", "a_pink_v2"}}
+
+
 def _parse_noise(obj: dict) -> NoiseSpec:
-    allowed = {
-        "mode", "sigma_e", "s_white_v2hz", "a_pink_v2",
-        "f_cutoff_hz", "delta_t_cds_s", "f_min_hz",
-    }
-    _require_keys(obj, allowed, {"mode"}, "noise")
+    known = {"mode"}.union(*_NOISE_FIELDS.values())
+    _require_keys(obj, known, {"mode"}, "noise")
     mode = obj["mode"]
-    defaults = NoiseSpec.__dataclass_fields__
+    if mode not in ("direct", "psd"):
+        raise ConfigError(f"noise.mode must be 'direct' or 'psd', got {mode!r}")
+    fields = _NOISE_FIELDS[mode]
+    # a key the mode ignores would silently leave the noise unchanged
+    unused = set(obj) - {"mode"} - set(fields)
+    if unused:
+        raise ConfigError(
+            f"noise key(s) not used in {mode} mode: {', '.join(sorted(unused))}"
+        )
+    _require_keys(obj, known, _NOISE_REQUIRED[mode], "noise")
     try:
-        if mode == "direct":
-            _require_keys(obj, allowed, {"mode", "sigma_e"}, "noise")
-            return NoiseSpec(
-                mode="direct",
-                sigma_e_direct=_number(obj, "sigma_e", "noise"),
-                f_cutoff=_number(obj, "f_cutoff_hz", "noise")
-                if "f_cutoff_hz" in obj else defaults["f_cutoff"].default,
-                delta_t_cds=_number(obj, "delta_t_cds_s", "noise")
-                if "delta_t_cds_s" in obj else defaults["delta_t_cds"].default,
-                f_min=_number(obj, "f_min_hz", "noise")
-                if "f_min_hz" in obj else defaults["f_min"].default,
-            )
-        if mode == "psd":
-            _require_keys(obj, allowed, {"mode", "s_white_v2hz", "a_pink_v2"}, "noise")
-            return NoiseSpec(
-                mode="psd",
-                s_white=_number(obj, "s_white_v2hz", "noise"),
-                a_pink=_number(obj, "a_pink_v2", "noise"),
-                f_cutoff=_number(obj, "f_cutoff_hz", "noise")
-                if "f_cutoff_hz" in obj else defaults["f_cutoff"].default,
-                delta_t_cds=_number(obj, "delta_t_cds_s", "noise")
-                if "delta_t_cds_s" in obj else defaults["delta_t_cds"].default,
-                f_min=_number(obj, "f_min_hz", "noise")
-                if "f_min_hz" in obj else defaults["f_min"].default,
-            )
+        return NoiseSpec(
+            mode=mode,
+            **{f: _number(obj, key, "noise") for key, f in fields.items() if key in obj},
+        )
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
-    raise ConfigError(f"noise.mode must be 'direct' or 'psd', got {mode!r}")
 
 
 def _parse_source(obj: dict) -> PulseConfig:

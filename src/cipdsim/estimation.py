@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 #: Lower clamp on the fitted sigma (electrons); prevents zero-variance
 #: collapse on degenerate data. Far below any physical readout width.
@@ -141,6 +141,24 @@ def mixture_density(x, n: float, sigma: float, l_max: int = 20):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+def _chunk_passes(events, n, sigma, l_max):
+    """Yield ``(d, lse, r)`` per event chunk: residuals, log-sum-exp, responsibilities.
+
+    ``d`` holds the residuals ``x - l`` against every component, ``lse`` the
+    per-event log of the unnormalized mixture sum and ``r`` the normalized
+    component responsibilities. Chunks come in a fixed order, so sums over
+    them do not depend on how the event array was produced.
+    """
+    log_w = _log_poisson_weights(n, l_max)
+    ls = np.arange(l_max + 1)
+    for lo in range(0, events.size, _EVENT_CHUNK):
+        d = events[lo : lo + _EVENT_CHUNK, None] - ls
+        with np.errstate(over="ignore"):
+            a = log_w - 0.5 * (d / sigma) ** 2
+        lse, r = _row_softmax(a)
+        yield d, lse, r
+
+
 def log_likelihood(events, n: float, sigma: float, l_max: int = 20) -> float:
     """Total log-likelihood of the events under the mixture.
 
@@ -151,14 +169,8 @@ def log_likelihood(events, n: float, sigma: float, l_max: int = 20) -> float:
     if events.size == 0:
         raise InsufficientDataError("log_likelihood needs at least one event")
     total = 0.0
-    log_w = _log_poisson_weights(n, l_max)
-    ls = np.arange(l_max + 1)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
-    for lo in range(0, events.size, _EVENT_CHUNK):
-        x = events[lo : lo + _EVENT_CHUNK]
-        with np.errstate(over="ignore"):
-            a = log_w - 0.5 * ((x[:, None] - ls) / sigma) ** 2
-        lse, _ = _row_softmax(a)
+    for _, lse, _ in _chunk_passes(events, n, sigma, l_max):
         if np.any(np.isneginf(lse)):
             warnings.warn(
                 "mixture density underflowed to zero for some events",
@@ -173,39 +185,24 @@ def log_likelihood(events, n: float, sigma: float, l_max: int = 20) -> float:
 def log_likelihood_grad(
     events, n: float, sigma: float, l_max: int = 20
 ) -> tuple[float, float]:
-    """Gradient of :func:`log_likelihood` with respect to ``(n, sigma)``."""
+    """Gradient of :func:`log_likelihood` with respect to ``(n, sigma)``.
+
+    Closed form in the EM statistics: ``sum(r l)/n - N`` and
+    ``sum(r d^2)/sigma^3 - N/sigma`` for ``N`` events.
+    """
     events = np.asarray(events, dtype=float)
-    log_w = _log_poisson_weights(n, l_max)
-    ls = np.arange(l_max + 1)
-    g_n = 0.0
-    g_s = 0.0
-    for lo in range(0, events.size, _EVENT_CHUNK):
-        x = events[lo : lo + _EVENT_CHUNK]
-        d = x[:, None] - ls
-        a = log_w - 0.5 * (d / sigma) ** 2
-        _, r = _row_softmax(a)
-        g_n += float(np.sum(r @ (ls / n - 1.0)))
-        g_s += float(np.sum(r * (d * d / sigma**3 - 1.0 / sigma)))
-    return g_n, g_s
+    _, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max)
+    return sum_rl / n - events.size, sum_rsq / sigma**3 - events.size / sigma
 
 
 def _em_pass(events, n, sigma, l_max):
-    """One E-step: log-likelihood plus the sufficient statistics.
-
-    Accumulation is chunked in a fixed order so results do not depend on
-    how the event array was produced.
-    """
-    log_w = _log_poisson_weights(n, l_max)
+    """One E-step: log-likelihood plus the sufficient statistics."""
     ls = np.arange(l_max + 1)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
     ll = 0.0
     sum_rl = 0.0
     sum_rsq = 0.0
-    for lo in range(0, events.size, _EVENT_CHUNK):
-        x = events[lo : lo + _EVENT_CHUNK]
-        d = x[:, None] - ls
-        a = log_w - 0.5 * (d / sigma) ** 2
-        lse, r = _row_softmax(a)
+    for d, lse, r in _chunk_passes(events, n, sigma, l_max):
         ll += float(np.sum(lse + log_norm))
         sum_rl += float(np.sum(r @ ls))
         sum_rsq += float(np.sum(r * d * d))
@@ -457,9 +454,12 @@ def histogram_peaks(
     by ``prominence_frac`` of the tallest bin; used to check that the
     multipeak structure resolves individual photon numbers.
     """
+    # imported here so that importing the package does not load scipy.signal
+    from scipy.signal import find_peaks
+
     counts = hist.counts.astype(float)
     distance = max(1, int(round(min_separation / hist.bin_width)))
-    peaks, _ = signal.find_peaks(
+    peaks, _ = find_peaks(
         counts, distance=distance, prominence=prominence_frac * counts.max()
     )
     return hist.bin_centers[peaks]

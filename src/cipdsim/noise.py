@@ -1,4 +1,4 @@
-"""Readout-noise chain: parametric voltage PSD, CDS variance, noise draws.
+"""Readout-noise chain: parametric voltage PSD and CDS variance.
 
 The voltage noise at the follower output is modeled as a white floor plus a
 1/f term,
@@ -16,6 +16,11 @@ charge-referred readout noise is
 The integral runs from ``f_min`` (the 1/f divergence must be truncated; the
 default 0.01 Hz is roughly the inverse observation time of a multi-minute
 run) to ``100 * f_cutoff``, beyond which the low-pass has removed the band.
+
+Known model limit: in psd mode the simulator draws each frame's read noise
+independently from this PSD-integrated sigma. The per-frame variance is
+right, but the noise has no frame-to-frame correlation, so the slow drift
+that the 1/f term produces across frames is not reproduced.
 """
 
 from __future__ import annotations
@@ -183,16 +188,3 @@ def cds_sigma(spec: NoiseSpec, params: DetectorParams) -> float:
             f"tolerance {CDS_QUAD_RTOL:.0e} * {scale:.3e}"
         )
     return math.sqrt(max(variance, 0.0)) / volts_per_carrier(params)
-
-
-def sample_read_noise(sigma_e: float, rng: np.random.Generator, size=None):
-    """Draw zero-mean Gaussian read noise with std dev ``sigma_e`` electrons.
-
-    ``size=None`` returns one float; otherwise an array. ``sigma_e = 0`` is
-    allowed and yields exact zeros.
-    """
-    if sigma_e < 0:
-        raise ValueError(f"sigma_e must be >= 0, got {sigma_e}")
-    if sigma_e == 0:
-        return 0.0 if size is None else np.zeros(size)
-    return rng.normal(0.0, sigma_e, size)

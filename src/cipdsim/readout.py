@@ -15,11 +15,10 @@ sequential reduction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .detector import DetectorParams, volts_per_carrier
 from .noise import NoiseSpec, cds_sigma
@@ -52,46 +51,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    """One frame of the simulated record stream."""
-
-    frame_index: int
-    true_carriers: int
-    leakage_carriers: int
-    accumulated_carriers: int
-    measured_delta_e: float
-    reset: bool
-
-
-class _FrameSequence(Sequence):
-    """Read-only FrameRecord view over the column arrays of a FrameRun."""
-
-    def __init__(self, run: "FrameRun"):
-        self._run = run
-
-    def __len__(self) -> int:
-        return len(self._run.measured_delta_e)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        r = self._run
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return FrameRecord(
-            frame_index=i,
-            true_carriers=int(r.true_carriers[i]),
-            leakage_carriers=int(r.leakage_carriers[i]),
-            accumulated_carriers=int(r.accumulated_carriers[i]),
-            measured_delta_e=float(r.measured_delta_e[i]),
-            reset=bool(r.reset[i]),
-        )
-
-
-@dataclass(frozen=True)
 class FrameRun:
     """Result of :func:`simulate_run`: per-frame columns plus the config."""
 
@@ -102,14 +61,6 @@ class FrameRun:
     measured_delta_e: np.ndarray     # float, CDS difference in electrons
     reset: np.ndarray                # bool
     sigma_e_used: float
-    _frames: _FrameSequence = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_frames", _FrameSequence(self))
-
-    @property
-    def frames(self) -> Sequence:
-        return self._frames
 
     def __len__(self) -> int:
         return len(self.measured_delta_e)
@@ -136,10 +87,10 @@ def _poisson_cdf_table(mu: float) -> np.ndarray:
     if mu <= 0:
         return np.ones(1)
     kmax = int(mu + 12.0 * np.sqrt(mu) + 20.0)
-    cdf = stats.poisson.cdf(np.arange(kmax + 1), mu)
+    cdf = special.pdtr(np.arange(kmax + 1), mu)
     while 1.0 - cdf[-1] > 1e-15:
         kmax *= 2
-        cdf = stats.poisson.cdf(np.arange(kmax + 1), mu)
+        cdf = special.pdtr(np.arange(kmax + 1), mu)
     return cdf
 
 

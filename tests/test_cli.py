@@ -32,6 +32,14 @@ def write_config(path, **updates):
     return path
 
 
+def single_json_error(res):
+    """The one-line JSON error of a failed command, checked for shape."""
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1, res.stderr
+    return json.loads(lines[0])
+
+
 class TestSimulate:
     def test_default_run_writes_all_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -150,6 +158,20 @@ class TestFit:
         res = run_cli("fit", path, "--column", "events", "--out", tmp_path / "f")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize("column", [None, "measured_delta_e"])
+    def test_non_finite_event_exit_1(self, tmp_path, bad, column):
+        values = [f"{v}" for v in np.linspace(0.0, 3.0, 60)]
+        values[7] = bad
+        header = [] if column is None else [column]
+        path = tmp_path / "ev.csv"
+        path.write_text("\n".join(header + values) + "\n")
+        args = [] if column is None else ["--column", column]
+        res = run_cli("fit", path, *args, "--out", tmp_path / "f")
+        assert res.returncode == 1
+        line = 8 + len(header)
+        assert f"{path}:{line}" in single_json_error(res)["message"]
+
     def test_missing_file_exit_3(self, tmp_path):
         res = run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "f")
         assert res.returncode == 3
@@ -256,6 +278,34 @@ class TestSweep:
     def test_unknown_key_exit_1(self, tmp_path):
         res = run_cli("sweep", "--out", tmp_path, "--param", "bogus=1:2:1")
         assert res.returncode == 1
+
+    def test_key_unused_by_psd_mode_exit_1(self, tmp_path):
+        res = run_cli("sweep", "--out", tmp_path / "sw", "--param", "sigma_e=0.1:0.5:0.1")
+        assert res.returncode == 1
+        message = single_json_error(res)["message"]
+        assert "sigma_e" in message and "psd mode" in message
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+    def test_key_unused_by_direct_mode_exit_1(self, tmp_path):
+        raw = json.loads(default_config_path().read_text())
+        raw["noise"] = {"mode": "direct", "sigma_e": 0.3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        res = run_cli("sweep", "--config", cfg, "--out", tmp_path / "sw",
+                      "--param", "a_pink_v2=1e-14:3e-14:1e-14")
+        assert res.returncode == 1
+        message = single_json_error(res)["message"]
+        assert "a_pink_v2" in message and "direct mode" in message
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    code = (
+        "import sys, cipdsim; "
+        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -53,6 +53,23 @@ def test_direct_mode_requires_sigma(raw_default):
         parse_config(raw_default)
 
 
+def test_psd_mode_rejects_sigma_e(raw_default):
+    raw_default["noise"]["sigma_e"] = 0.3
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw_default)
+    assert "sigma_e" in str(err.value) and "psd mode" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key", ["s_white_v2hz", "a_pink_v2", "f_cutoff_hz", "delta_t_cds_s", "f_min_hz"]
+)
+def test_direct_mode_rejects_psd_keys(raw_default, key):
+    raw_default["noise"] = {"mode": "direct", "sigma_e": 0.26, key: 1e-3}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw_default)
+    assert key in str(err.value) and "direct mode" in str(err.value)
+
+
 def test_absent_source_is_dark(raw_default):
     raw_default["source"] = None
     cfg = parse_config(raw_default)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cipdsim import NoiseSpec, cds_sigma, psd_value, sample_read_noise, volts_per_carrier
+from cipdsim import NoiseSpec, RunConfig, cds_sigma, psd_value, simulate_run, volts_per_carrier
 
 
 class TestPsdValue:
@@ -106,31 +107,26 @@ class TestCdsSigma:
         assert math.sqrt(sigma**2 + lam) == pytest.approx(0.26, abs=1e-6)
 
 
-class TestSampleReadNoise:
-    def test_zero_sigma_is_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        assert sample_read_noise(0.0, rng) == 0.0
-        assert np.all(sample_read_noise(0.0, rng, size=100) == 0.0)
+def read_noise_draws(device, sigma_e, seed, n):
+    """The simulator's read-noise draws: a leakage-free dark run measures noise only."""
+    det = dataclasses.replace(device, leakage_rate=0.0)
+    cfg = RunConfig(n_frames=n, detector=det, noise=NoiseSpec.direct(sigma_e), seed=seed)
+    return simulate_run(cfg).measured_delta_e
 
-    def test_sample_std_matches(self):
-        rng = np.random.default_rng(2024)
-        draws = sample_read_noise(0.26, rng, size=10**6)
+
+class TestSampleReadNoise:
+    def test_sample_std_matches(self, device):
+        draws = read_noise_draws(device, 0.26, 2024, 10**6)
         assert abs(np.std(draws, ddof=1) - 0.26) < 0.001
 
-    def test_half_electron_exceedance(self):
+    def test_half_electron_exceedance(self, device):
         # 2 * Phi(-0.5 / 0.26) = 0.05447
-        rng = np.random.default_rng(99)
-        draws = sample_read_noise(0.26, rng, size=10**6)
+        draws = read_noise_draws(device, 0.26, 99, 10**6)
         frac = np.mean(np.abs(draws) > 0.5)
         want = 2 * stats.norm.cdf(-0.5 / 0.26)
         assert want == pytest.approx(0.0545, abs=3e-4)
         assert abs(frac - want) < 0.002
 
-    def test_seeded_reproducibility(self):
-        a = sample_read_noise(0.3, np.random.default_rng(5), size=1000)
-        b = sample_read_noise(0.3, np.random.default_rng(5), size=1000)
-        assert np.array_equal(a, b)
-
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
-            sample_read_noise(-0.1, np.random.default_rng(0))
+            NoiseSpec.direct(-0.1)

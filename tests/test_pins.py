@@ -1,0 +1,82 @@
+"""Reference pins: exact output bytes and fit values at fixed seeds.
+
+The digests and fit values were recorded from the reference implementation.
+Any refactor of the simulator, the CLI writers or the estimator must keep
+the simulation bytes identical and the fit within the stated tolerances.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+from cipdsim import (
+    DetectorParams,
+    NoiseSpec,
+    PulseConfig,
+    RunConfig,
+    extract_events,
+    fit_mixture,
+    simulate_run,
+)
+
+SIMULATE_PINS = {
+    "events.csv": "a098f689aecec87326f4de952a0226b17d3c9a757917a6e29366c48e0b187f8f",
+    "frames.csv": "05091bcd052a6d3437a57eb247dd33e36c97bcd9855ec878fc8e0d1ebe284d18",
+    "histogram.csv": "bf415807aeb255022839da624cea48d18d351a69fa5db189c270ddb059bfba1f",
+    "summary.json": "1f21c66e5093166cc889bdf4a2030634ca8130bedc6bd5b5f6f7b8821b1baf49",
+}
+
+DARK_PINS = {
+    "events.csv": "208b3dfe35ed007f7ef2463068ed33b9d230a155f2e4d421b1b4b2d7d1b2dca3",
+    "frames.csv": "b047c27c74b97e8be165bd604cf784d623933408907ecb315d61acb4ab39d862",
+    "histogram.csv": "cc3f3815678593076ded7b15b591a19d87194c678814cf529eec5aeea0889575",
+    "summary.json": "895e97e5757593b77f1cda6a088fea6063a655545f275c890427095d3e30a88e",
+}
+
+SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
+
+
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "cipdsim.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+    )
+
+
+def digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("command, pins", [("simulate", SIMULATE_PINS), ("dark", DARK_PINS)])
+def test_simulation_bytes_pinned(tmp_path, command, pins):
+    res = run_cli(command, "--seed", 1, "--frames", 20000, "--no-timestamp",
+                  "--out", tmp_path / "o")
+    assert res.returncode == 0, res.stderr
+    assert digests(tmp_path / "o") == pins
+
+
+def test_two_dimensional_sweep_bytes_pinned(tmp_path):
+    res = run_cli("sweep", "--param", "rep_rate_hz=20:60:10",
+                  "--param", "f_cutoff_hz=400:1600:400",
+                  "--out", tmp_path / "o")
+    assert res.returncode == 0, res.stderr
+    assert digests(tmp_path / "o") == {"sweep.csv": SWEEP_PIN}
+
+
+def test_fit_values_pinned():
+    det = DetectorParams(c_input=0.054e-12, g_m=1.0, eta_q=0.8, eta_c=0.8,
+                         leakage_rate=500.0 / 3600.0, reset_threshold=30e-3)
+    run = simulate_run(RunConfig(n_frames=20100, detector=det, noise=NoiseSpec.direct(0.33),
+                                 source=PulseConfig(4.0), seed=2024))
+    events = extract_events(run)[:20000]
+    assert events.size == 20000
+    fit = fit_mixture(events)
+    assert fit.converged
+    assert fit.n_iterations == 30
+    assert fit.n_hat == 2.5690625304150094
+    assert fit.sigma_hat == 0.32563206024108954
+    assert fit.log_likelihood == -37032.25994279288
+    assert fit.stderr_n == pytest.approx(0.011526468491260246, rel=1e-9, abs=0)

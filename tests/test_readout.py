@@ -207,25 +207,6 @@ def test_frame_uniforms_are_counter_indexed():
         assert np.array_equal(part, full[start : start + count])
 
 
-def test_frame_record_view(device, calibrated_noise):
-    cfg = RunConfig(
-        n_frames=50,
-        detector=device,
-        noise=calibrated_noise,
-        source=PulseConfig(1.6731),
-        seed=4,
-    )
-    run = simulate_run(cfg)
-    assert len(run.frames) == 50
-    rec = run.frames[10]
-    assert rec.frame_index == 10
-    assert rec.true_carriers == int(run.true_carriers[10])
-    assert rec.measured_delta_e == float(run.measured_delta_e[10])
-    assert run.frames[-1].frame_index == 49
-    with pytest.raises(IndexError):
-        run.frames[50]
-
-
 def test_run_config_validation(device, calibrated_noise):
     with pytest.raises(ValueError, match="n_frames"):
         RunConfig(n_frames=0, detector=device, noise=calibrated_noise)
