@@ -41,6 +41,8 @@ def default_config_path() -> Path:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -127,8 +129,6 @@ def _parse_source(obj: dict) -> PulseConfig:
 
 def parse_config(raw: dict) -> CliConfig:
     """Validate a loaded JSON document into a CliConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     _require_keys(
         raw,
         {"detector", "noise", "source", "run", "output"},

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -70,7 +70,18 @@ class NoiseSpec:
                     "direct mode requires sigma_e_direct >= 0, "
                     f"got {self.sigma_e_direct}"
                 )
+            # a PSD field here would be silently ignored by cds_sigma
+            ignored = [
+                f.name
+                for f in fields(self)
+                if f.name not in ("mode", "sigma_e_direct")
+                and getattr(self, f.name) != f.default
+            ]
+            if ignored:
+                raise ValueError(f"direct mode ignores {', '.join(ignored)}")
         else:
+            if self.sigma_e_direct is not None:
+                raise ValueError("psd mode ignores sigma_e_direct")
             if self.s_white < 0 or self.a_pink < 0:
                 raise ValueError("s_white and a_pink must be >= 0")
             if self.s_white == 0 and self.a_pink == 0:

@@ -9,8 +9,16 @@ Randomness is counter-based: the draw for frame ``i`` depends only on
 ``(seed, stream, i)``, where each stream keys an independent Philox
 sequence and frame ``i`` consumes exactly the ``i``-th 64-bit word of that
 sequence. Workers can therefore produce any frame range independently and
-bit-identically to a serial run; only the accumulate/reset pass is a
-sequential reduction.
+bit-identically to a serial run.
+
+The accumulate/reset pass is the one sequential step. The voltage test
+``charge * volts_per_carrier >= reset_threshold`` is turned once into an
+exact integer carrier threshold ``k``. Since a reset clears the charge
+accumulated so far, the reset after one at frame ``i`` is the first frame
+whose cumulative charge reaches ``cum[i] + k``. A single searchsorted
+builds that successor for every frame, and the resets follow by chasing
+it from the first one, so the pass costs O(n log n + resets) rather than a
+search per reset.
 """
 
 from __future__ import annotations
@@ -110,6 +118,49 @@ def _gaussian_from_uniforms(sigma: float, u: np.ndarray) -> np.ndarray:
     return sigma * special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
 
 
+def _carrier_threshold(vpc: float, threshold_v: float, top: int) -> int:
+    """Smallest carrier count ``k >= 1`` with ``k * vpc >= threshold_v``.
+
+    The float comparison is the reset invariant itself, and ``x * vpc`` is
+    monotone in ``x``, so the rounded quotient only needs +-1 fix-ups.
+    Capped at ``top + 1``: no charge above ``top`` occurs, so the cap
+    changes no reset and keeps an ``inf`` threshold finite.
+    """
+    k = int(min(np.ceil(threshold_v / vpc), top + 1))
+    while k > 1 and (k - 1) * vpc >= threshold_v:
+        k -= 1
+    while k <= top and k * vpc < threshold_v:
+        k += 1
+    return k
+
+
+def _reset_reduction(
+    cum: np.ndarray, vpc: float, threshold_v: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reset flags and gate charge from the cumulative charge ``cum``.
+
+    Frame ``j`` resets when its charge since the last reset reaches the
+    integer threshold ``k``. A reset at ``i`` clears ``cum[i]``, so the next
+    one is the first ``j`` with ``cum[j] >= cum[i] + k``: one searchsorted
+    over the int64 array gives that successor for every frame at once,
+    and the resets are a pointer chase from the first one.
+    """
+    n = cum.size
+    top = int(cum[-1])
+    k = _carrier_threshold(vpc, threshold_v, top)
+    reset = np.zeros(n, dtype=bool)
+    if top < k:
+        return reset, cum
+    nxt = np.searchsorted(cum, cum + k, side="left")
+    j = int(np.searchsorted(cum, k, side="left"))
+    while j < n:
+        reset[j] = True
+        j = nxt.item(j)
+    # resets strictly before each frame select the charge cleared so far
+    cleared = np.concatenate(([0], cum[reset]))
+    return reset, cum - cleared[np.cumsum(reset) - reset]
+
+
 def simulate_run(cfg: RunConfig) -> FrameRun:
     """Simulate ``cfg.n_frames`` frames of accumulate / CDS-read / reset.
 
@@ -150,31 +201,10 @@ def simulate_run(cfg: RunConfig) -> FrameRun:
     added = (true_c + leak_c).astype(np.int64)
     measured = added + noise_e
 
-    # Sequential reduction: segment the cumulative charge at reset frames.
-    # searchsorted locates the candidate cheaply; the +-1 fix-ups apply the
-    # authoritative voltage comparison so float rounding in the division
-    # cannot contradict the reset invariant.
-    cum = np.cumsum(added)
-    vpc = volts_per_carrier(det)
-    threshold_v = det.reset_threshold
-    reset = np.zeros(n, dtype=bool)
-    accumulated = np.empty(n, dtype=np.int64)
-    seg_start = 0
-    offset = 0
-    while seg_start < n:
-        j = int(np.searchsorted(cum, offset + threshold_v / vpc, side="left"))
-        j = max(j, seg_start)
-        while j < n and (cum[j] - offset) * vpc < threshold_v:
-            j += 1
-        while j > seg_start and (cum[j - 1] - offset) * vpc >= threshold_v:
-            j -= 1
-        if j >= n:
-            accumulated[seg_start:] = cum[seg_start:] - offset
-            break
-        accumulated[seg_start : j + 1] = cum[seg_start : j + 1] - offset
-        reset[j] = True
-        offset = int(cum[j])
-        seg_start = j + 1
+    # exact integer threshold plus successor table: O(n log n + resets)
+    reset, accumulated = _reset_reduction(
+        np.cumsum(added), volts_per_carrier(det), det.reset_threshold
+    )
 
     return FrameRun(
         config=cfg,
@@ -198,15 +228,17 @@ def extract_events(run: FrameRun) -> np.ndarray:
 
 def frames_to_csv(run: FrameRun, path) -> None:
     """Write the per-frame record stream as CSV (LF line endings)."""
-    lines = [
-        "frame_index,true_carriers,leakage_carriers,"
-        "accumulated_carriers,measured_delta_e,reset"
-    ]
-    for i in range(len(run)):
-        lines.append(
-            f"{i},{int(run.true_carriers[i])},{int(run.leakage_carriers[i])},"
-            f"{int(run.accumulated_carriers[i])},"
-            f"{float(run.measured_delta_e[i])!r},{int(run.reset[i])}"
-        )
+    rows = zip(
+        range(len(run)),
+        run.true_carriers.tolist(),
+        run.leakage_carriers.tolist(),
+        run.accumulated_carriers.tolist(),
+        map(repr, run.measured_delta_e.tolist()),
+        run.reset.view(np.uint8).tolist(),
+    )
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            "frame_index,true_carriers,leakage_carriers,"
+            "accumulated_carriers,measured_delta_e,reset\n"
+        )
+        fh.write("".join(["%d,%d,%d,%d,%s,%d\n" % row for row in rows]))

@@ -221,6 +221,23 @@ class TestSnr:
         res = run_cli("snr", "--n", "abc")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("noise", 5), ("run", [1]), ("detector", "x"), ("source", []), ("output", 0)],
+    )
+    def test_non_object_section_exit_1(self, tmp_path, section, value):
+        cfg = write_config(tmp_path / "cfg.json", **{section: value})
+        res = run_cli("snr", "--config", cfg)
+        assert res.returncode == 1
+        assert single_json_error(res)["message"] == f"{section} must be a JSON object"
+
+    def test_non_object_config_exit_1(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        res = run_cli("snr", "--config", cfg)
+        assert res.returncode == 1
+        assert single_json_error(res)["message"] == "config must be a JSON object"
+
 
 class TestSweep:
     def test_discrimination_error_monotone_in_sigma(self, tmp_path):

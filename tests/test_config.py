@@ -34,6 +34,22 @@ def test_unknown_top_level_key_rejected(raw_default):
         parse_config(raw_default)
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [("detector", "x"), ("noise", 5), ("source", []), ("run", [1]), ("output", 0)],
+)
+def test_non_object_section_rejected(raw_default, section, value):
+    raw_default[section] = value
+    with pytest.raises(ConfigError, match=f"^{section} must be a JSON object$"):
+        parse_config(raw_default)
+
+
+@pytest.mark.parametrize("raw", [[1], "x", 5, None])
+def test_non_object_config_rejected(raw):
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        parse_config(raw)
+
+
 def test_missing_required_keys(raw_default):
     del raw_default["detector"]["g_m"]
     with pytest.raises(ConfigError, match="g_m"):

@@ -56,6 +56,19 @@ class TestNoiseSpecValidation:
     def test_zero_sigma_direct_allowed_for_noiseless_runs(self):
         assert NoiseSpec.direct(0.0).sigma_e_direct == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s_white", 1e-15), ("a_pink", 1e-14), ("f_cutoff", 500.0),
+         ("delta_t_cds", 1e-3), ("f_min", 0.1)],
+    )
+    def test_direct_rejects_psd_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"direct mode ignores {field}"):
+            NoiseSpec(mode="direct", sigma_e_direct=0.3, **{field: value})
+
+    def test_psd_rejects_sigma_e_direct(self):
+        with pytest.raises(ValueError, match="psd mode ignores sigma_e_direct"):
+            NoiseSpec(mode="psd", sigma_e_direct=0.3, s_white=1e-15)
+
 
 class TestCdsSigma:
     def test_direct_mode_passthrough(self, device):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipdsim import (
     DetectorParams,
@@ -172,6 +174,101 @@ class TestExtractEvents:
         frac_oracle = 1.0 - resets / n
         assert abs(frac - frac_oracle) < 0.01
         assert abs(frac - 0.8) < 0.02 * 1.0 + 0.016  # coarse band around 0.8
+
+
+def reference_reduction(added, vpc, threshold):
+    """Literal frame loop: accumulate, test the voltage, clear after a reset."""
+    reset = np.zeros(len(added), dtype=bool)
+    accumulated = np.empty(len(added), dtype=np.int64)
+    acc = 0
+    for i, a in enumerate(added.tolist()):
+        acc += a
+        accumulated[i] = acc
+        if acc * vpc >= threshold:
+            reset[i] = True
+            acc = 0
+    return reset, accumulated
+
+
+def assert_reduction_matches_reference(cfg):
+    run = simulate_run(cfg)
+    added = run.true_carriers.astype(np.int64) + run.leakage_carriers.astype(np.int64)
+    det = cfg.detector
+    reset, accumulated = reference_reduction(
+        added, volts_per_carrier(det), det.reset_threshold
+    )
+    assert np.array_equal(run.reset, reset)
+    assert run.accumulated_carriers.dtype == np.int64
+    assert np.array_equal(run.accumulated_carriers, accumulated)
+    return run
+
+
+def reduction_config(threshold, mean_photons=15.90625, n_frames=3000, seed=7,
+                     leakage_per_hour=500.0):
+    return RunConfig(
+        n_frames=n_frames,
+        detector=make_detector(leakage_per_hour=leakage_per_hour,
+                               reset_threshold=threshold),
+        noise=NoiseSpec.direct(0.0),
+        source=None if mean_photons is None else PulseConfig(mean_photons),
+        seed=seed,
+    )
+
+
+class TestResetReduction:
+    """``simulate_run``'s reset pass against the literal frame loop."""
+
+    # with this vpc, 5 carriers nudged up needs the +1 fix-up of the rounded
+    # quotient and 50 carriers exactly needs the -1 fix-up
+    @pytest.mark.parametrize("carriers", [2, 5, 50, 333])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_threshold_at_integer_carrier_count(self, carriers, nudge):
+        v = threshold_for_carriers(make_detector(), carriers)
+        v = float(np.nextafter(v, v + nudge)) if nudge else v
+        run = assert_reduction_matches_reference(reduction_config(v))
+        assert run.reset.any()
+
+    def test_one_carrier_threshold_skips_empty_frames(self):
+        cfg = reduction_config(threshold_for_carriers(make_detector(), 1),
+                               mean_photons=0.8)
+        run = assert_reduction_matches_reference(cfg)
+        added = run.true_carriers + run.leakage_carriers
+        assert (added == 0).any()
+        assert np.array_equal(run.reset, added > 0)
+
+    def test_threshold_never_reached(self):
+        run = assert_reduction_matches_reference(reduction_config(1.0))
+        assert not run.reset.any()
+
+    @pytest.mark.parametrize("threshold", [np.inf, 1e300])
+    def test_unreachable_huge_threshold(self, threshold):
+        run = assert_reduction_matches_reference(reduction_config(threshold))
+        assert not run.reset.any()
+
+    def test_dark_run_with_leakage_only(self):
+        cfg = reduction_config(threshold_for_carriers(make_detector(), 3),
+                               mean_photons=None, leakage_per_hour=36000.0)
+        run = assert_reduction_matches_reference(cfg)
+        assert run.reset.any() and not run.true_carriers.any()
+
+    def test_reset_on_last_frame(self):
+        cfg = reduction_config(threshold_for_carriers(make_detector(), 50))
+        last = int(np.flatnonzero(simulate_run(cfg).reset)[-1])
+        cfg = reduction_config(cfg.detector.reset_threshold, n_frames=last + 1)
+        run = assert_reduction_matches_reference(cfg)
+        assert run.reset[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        mean_photons=st.floats(0.0, 40.0),
+        carriers=st.floats(0.01, 60.0),
+        n_frames=st.integers(1, 2000),
+    )
+    def test_matches_reference_loop(self, seed, mean_photons, carriers, n_frames):
+        cfg = reduction_config(threshold_for_carriers(make_detector(), carriers),
+                               mean_photons=mean_photons, n_frames=n_frames, seed=seed)
+        assert_reduction_matches_reference(cfg)
 
 
 def test_seed_determinism_bitwise(device, calibrated_noise):
