@@ -16,9 +16,9 @@ The accumulate/reset pass is the one sequential step. The voltage test
 exact integer carrier threshold ``k``. Since a reset clears the charge
 accumulated so far, the reset after one at frame ``i`` is the first frame
 whose cumulative charge reaches ``cum[i] + k``. A single searchsorted
-builds that successor for every frame, and the resets follow by chasing
-it from the first one, so the pass costs O(n log n + resets) rather than a
-search per reset.
+builds that successor for every frame, and the resets are the successor
+path from the first one, followed by pointer doubling in whole-array
+steps, so the pass costs O(n log n) rather than a search per reset.
 """
 
 from __future__ import annotations
@@ -143,7 +143,13 @@ def _reset_reduction(
     integer threshold ``k``. A reset at ``i`` clears ``cum[i]``, so the next
     one is the first ``j`` with ``cum[j] >= cum[i] + k``: one searchsorted
     over the int64 array gives that successor for every frame at once,
-    and the resets are a pointer chase from the first one.
+    and the resets are the successor path from the first one.
+
+    The path is followed by pointer doubling rather than one Python step
+    per reset: each round appends the next ``len(path)`` resets with one
+    gather and squares the jump table, so ``log2(resets)`` rounds of
+    whole-array work replace a scalar loop whose cost grows with the
+    reset count. Frame ``n`` is a sink past the last frame.
     """
     n = cum.size
     top = int(cum[-1])
@@ -151,13 +157,19 @@ def _reset_reduction(
     reset = np.zeros(n, dtype=bool)
     if top < k:
         return reset, cum
-    nxt = np.searchsorted(cum, cum + k, side="left")
-    j = int(np.searchsorted(cum, k, side="left"))
-    while j < n:
-        reset[j] = True
-        j = nxt.item(j)
+    jump = np.empty(n + 1, dtype=np.int64)
+    jump[:n] = np.searchsorted(cum, cum + k, side="left")
+    jump[n] = n
+    # after m rounds: path = the first 2**m resets (n past the last one),
+    # jump = successor applied 2**m times
+    path = np.searchsorted(cum, [k], side="left")
+    while path[-1] < n:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    path = path[: np.searchsorted(path, n)]
+    reset[path] = True
     # resets strictly before each frame select the charge cleared so far
-    cleared = np.concatenate(([0], cum[reset]))
+    cleared = np.concatenate(([0], cum[path]))
     return reset, cum - cleared[np.cumsum(reset) - reset]
 
 
@@ -201,7 +213,7 @@ def simulate_run(cfg: RunConfig) -> FrameRun:
     added = (true_c + leak_c).astype(np.int64)
     measured = added + noise_e
 
-    # exact integer threshold plus successor table: O(n log n + resets)
+    # exact integer threshold plus successor table: O(n log n)
     reset, accumulated = _reset_reduction(
         np.cumsum(added), volts_per_carrier(det), det.reset_threshold
     )
