@@ -18,6 +18,7 @@ from .readout import (
     simulate_run,
 )
 from .estimation import (
+    ConvergenceError,
     Histogram,
     InsufficientDataError,
     MixtureFit,
@@ -58,6 +59,7 @@ __all__ = [
     "extract_events",
     "frame_uniforms",
     "simulate_run",
+    "ConvergenceError",
     "Histogram",
     "InsufficientDataError",
     "MixtureFit",

@@ -36,6 +36,8 @@ from .config import (
 )
 from .detector import snr, volts_per_carrier
 from .estimation import (
+    _EVENT_CHUNK,
+    ConvergenceError,
     InsufficientDataError,
     build_histogram,
     discrimination_error,
@@ -65,6 +67,14 @@ _SWEEP_SECTIONS = {
     "pulse_width_s": "source",
     "rep_rate_hz": "source",
 }
+
+
+#: Largest E-step buffer a fit may need: ``min(N, _EVENT_CHUNK)`` events by
+#: ``l_max + 1`` float64 components (the fit holds two such buffers).
+_MAX_FIT_BUFFER_BYTES = 1 << 28
+
+#: Most histogram bins a fit may write (its fitted curve has five points a bin).
+_MAX_HIST_BINS = 1 << 16
 
 
 class _UsageError(ValueError):
@@ -148,8 +158,9 @@ def _build_parser() -> _Parser:
     p_snr = sub.add_parser("snr", help="print conversion gain, noise and S/N")
     p_snr.add_argument("--config", help="JSON config file (default: bundled device)")
     p_snr.add_argument("--n", type=float, default=1.0, help="number of carriers")
-    p_snr.add_argument("--sigma-e", type=float, help="override the noise (electrons rms)")
-    p_snr.add_argument(
+    sigma_src = p_snr.add_mutually_exclusive_group()
+    sigma_src.add_argument("--sigma-e", type=float, help="override the noise (electrons rms)")
+    sigma_src.add_argument(
         "--sigma-from-psd",
         action="store_true",
         help="derive the noise from the PSD model in the config",
@@ -257,6 +268,11 @@ def _read_events(path: str, column: str | None) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
+    if args.l_max is not None and args.l_max < 1:
+        raise _UsageError(f"--l-max must be >= 1, got {args.l_max}")
+    width = args.bin_width
+    if not (math.isfinite(width) and width > 0):
+        raise _UsageError(f"--bin-width must be finite and > 0, got {width!r}")
     events = _read_events(args.events_file, args.column)
     if events.size == 0:
         raise InsufficientDataError(f"no events found in {args.events_file}")
@@ -265,8 +281,24 @@ def _cmd_fit(args) -> int:
     else:
         mean = float(np.mean(events))
         l_max = max(20, int(np.ceil(2.0 * mean)) + 2)
+    # bound the buffers before any of them is allocated
+    buffer_bytes = min(events.size, _EVENT_CHUNK) * (l_max + 1) * 8
+    if buffer_bytes >= _MAX_FIT_BUFFER_BYTES:
+        raise _UsageError(
+            f"--l-max {l_max} needs {buffer_bytes} bytes per E-step buffer for "
+            f"{events.size} events; the limit is {_MAX_FIT_BUFFER_BYTES}"
+        )
+    lo, hi = float(np.min(events)), float(np.max(events))
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, last = np.floor((np.array([lo, hi]) + 0.5 * width) / width)
+        n_bins = last - first + 1.0  # build_histogram's bin count
+    if not n_bins < _MAX_HIST_BINS:
+        raise _UsageError(
+            f"--bin-width {width!r} gives {n_bins:.3g} histogram bins over "
+            f"[{lo!r}, {hi!r}]; the limit is {_MAX_HIST_BINS}"
+        )
     fit = fit_mixture(events, l_max=l_max)
-    hist = build_histogram(events, args.bin_width)
+    hist = build_histogram(events, width)
 
     chi2 = dof = None
     if fit.converged:
@@ -314,12 +346,11 @@ def _cmd_fit(args) -> int:
 def _cmd_snr(args) -> int:
     cfg = _load_cli_config(args)
     det = cfg.detector
-    if args.sigma_e is not None:
-        sigma_e = args.sigma_e
-    elif args.sigma_from_psd or cfg.noise.mode == "psd":
-        sigma_e = cds_sigma(cfg.noise, det)
-    else:
-        sigma_e = cfg.noise.sigma_e_direct
+    if args.sigma_from_psd and cfg.noise.mode != "psd":
+        raise ConfigError(
+            f"--sigma-from-psd needs a psd-mode noise config, got {cfg.noise.mode!r}"
+        )
+    sigma_e = args.sigma_e if args.sigma_e is not None else cds_sigma(cfg.noise, det)
     result = {
         "volts_per_carrier": volts_per_carrier(det),
         "sigma_e": sigma_e,
@@ -402,10 +433,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, InsufficientDataError, _UsageError) as exc:
         return _fail(1, str(exc))
-    except QuadratureError as exc:
+    except (QuadratureError, ConvergenceError) as exc:
         return _fail(2, str(exc))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return _fail(1, str(exc))
+    except MemoryError as exc:
+        return _fail(1, str(exc) or "out of memory")
     except OSError as exc:
         return _fail(3, str(exc))
 

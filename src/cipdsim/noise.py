@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .detector import DetectorParams, volts_per_carrier
 
@@ -144,6 +143,9 @@ def _cds_band_integrals(spec: NoiseSpec) -> tuple[float, float, float, float]:
     ordinary adaptive quadrature, the oscillatory part goes through the
     cosine-weighted rule.
     """
+    # imported here so that importing the package does not load scipy.integrate
+    from scipy.integrate import IntegrationWarning, quad
+
     f_lo, f_hi = spec.f_min, 100.0 * spec.f_cutoff
     fc = spec.f_cutoff
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cipdsim import default_config_path
+from cipdsim import cli, default_config_path, estimation
 
 
 def run_cli(*args, cwd=None):
@@ -38,6 +38,28 @@ def single_json_error(res):
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1, res.stderr
     return json.loads(lines[0])
+
+
+def write_direct_config(path, sigma_e=0.3):
+    raw = json.loads(default_config_path().read_text())
+    raw["noise"] = {"mode": "direct", "sigma_e": sigma_e}
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def write_events(path, n=60):
+    path.write_text("".join(f"{v}\n" for v in np.linspace(0.0, 3.0, n)))
+    return path
+
+
+def main_error(capsys, *argv):
+    """Run ``cli.main`` in-process; return its exit code and one-line JSON error."""
+    code = cli.main([str(a) for a in argv])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["code"] == code
+    return code, err["message"]
 
 
 class TestSimulate:
@@ -221,6 +243,26 @@ class TestSnr:
         res = run_cli("snr", "--n", "abc")
         assert res.returncode == 1
 
+    def test_sigma_from_psd_with_direct_noise_exit_1(self, tmp_path):
+        cfg = write_direct_config(tmp_path / "cfg.json")
+        res = run_cli("snr", "--config", cfg, "--sigma-from-psd")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        message = single_json_error(res)["message"]
+        assert "--sigma-from-psd" in message and "direct" in message
+
+    def test_direct_noise_without_flag_uses_configured_sigma(self, tmp_path):
+        res = run_cli("snr", "--config", write_direct_config(tmp_path / "cfg.json"))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["sigma_e"] == 0.3
+
+    def test_sigma_e_and_sigma_from_psd_exclusive(self):
+        res = run_cli("snr", "--sigma-e", "0.3", "--sigma-from-psd")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        message = single_json_error(res)["message"]
+        assert "--sigma-e" in message and "--sigma-from-psd" in message
+
     @pytest.mark.parametrize(
         "section, value",
         [("noise", 5), ("run", [1]), ("detector", "x"), ("source", []), ("output", 0)],
@@ -315,10 +357,82 @@ class TestSweep:
         assert "a_pink_v2" in message and "direct mode" in message
 
 
+class TestFitInputBounds:
+    """Oversized fit requests are refused before any buffer is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected request reached the fit")
+
+        monkeypatch.setattr(cli, "fit_mixture", refuse)
+        monkeypatch.setattr(cli, "build_histogram", refuse)
+
+    @pytest.mark.parametrize("l_max", ["0", "-3", str(10**9)])
+    def test_l_max_out_of_bounds_exit_1(self, tmp_path, capsys, l_max):
+        events = write_events(tmp_path / "ev.txt")
+        code, message = main_error(capsys, "fit", events, "--out", tmp_path / "f",
+                                   "--l-max", l_max)
+        assert code == 1
+        assert "--l-max" in message
+        assert not (tmp_path / "f").exists()
+
+    def test_l_max_bound_counts_one_event_chunk(self, tmp_path, capsys):
+        # the buffer holds min(N, chunk) events, so a cutoff that a full chunk
+        # cannot afford passes the check for a few events
+        l_max = cli._MAX_FIT_BUFFER_BYTES // (8 * cli._EVENT_CHUNK)
+        few = write_events(tmp_path / "few.txt")
+        with pytest.raises(AssertionError, match="reached the fit"):
+            cli.main(["fit", str(few), "--out", str(tmp_path / "f"), "--l-max", str(l_max)])
+        full = write_events(tmp_path / "full.txt", n=cli._EVENT_CHUNK)
+        code, message = main_error(capsys, "fit", full, "--out", tmp_path / "f",
+                                   "--l-max", l_max)
+        assert code == 1 and "--l-max" in message
+
+    @pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf", "1e-12", "1e-320"])
+    def test_bin_width_out_of_bounds_exit_1(self, tmp_path, capsys, width):
+        events = write_events(tmp_path / "ev.txt")
+        code, message = main_error(capsys, "fit", events, "--out", tmp_path / "f",
+                                   "--bin-width", width)
+        assert code == 1
+        assert "--bin-width" in message
+        assert not (tmp_path / "f").exists()
+
+
+class TestErrorContract:
+    """Exceptions that escape a command map to an exit code and a JSON line."""
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(OverflowError("math range error"), 1), (MemoryError(), 1)],
+    )
+    def test_fit_exception_maps_to_exit_code(self, tmp_path, capsys, monkeypatch, exc, code):
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "fit_mixture", boom)
+        events = write_events(tmp_path / "ev.txt")
+        got, message = main_error(capsys, "fit", events, "--out", tmp_path / "f")
+        assert got == code
+        assert message
+
+    def test_em_likelihood_decrease_exit_2(self, tmp_path, capsys, monkeypatch):
+        lls = iter([-10.0, -20.0])
+
+        def broken_pass(events, n, sigma, l_max, ws=None):
+            return next(lls), n * events.size, sigma**2 * events.size
+
+        monkeypatch.setattr(estimation, "_em_pass", broken_pass)
+        events = write_events(tmp_path / "ev.txt")
+        code, message = main_error(capsys, "fit", events, "--out", tmp_path / "f")
+        assert code == 2
+        assert "log-likelihood decreased" in message
+
+
 def test_import_leaves_scipy_stats_and_signal_unloaded():
     code = (
-        "import sys, cipdsim; "
-        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+        "import sys, cipdsim; print([m for m in "
+        "('scipy.stats', 'scipy.signal', 'scipy.integrate') if m in sys.modules])"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from cipdsim import (
     InsufficientDataError,
@@ -21,7 +24,7 @@ from cipdsim import (
     mixture_density,
     sigma_from_dark,
 )
-from cipdsim.estimation import SIGMA_FLOOR
+from cipdsim.estimation import SIGMA_FLOOR, _em_pass, _Workspace
 
 
 def draw_mixture_events(n, sigma, size, seed):
@@ -135,6 +138,103 @@ class TestLogLikelihood:
         fd_s = (log_likelihood(events, n, sigma + h) - log_likelihood(events, n, sigma - h)) / (2 * h)
         assert g_n == pytest.approx(fd_n, rel=1e-4)
         assert g_s == pytest.approx(fd_s, rel=1e-4)
+
+
+def _reference_chunks(events, n, sigma, l_max):
+    """The E-step as one exp over freshly allocated arrays, kept literally.
+
+    The workspace kernel must reproduce every bit of this arithmetic.
+    """
+    ls = np.arange(l_max + 1)
+    log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
+    for lo in range(0, events.size, 1 << 16):
+        d = events[lo : lo + (1 << 16), None] - ls
+        with np.errstate(over="ignore"):
+            a = log_w - 0.5 * (d / sigma) ** 2
+        m = np.max(a, axis=1)
+        safe_m = np.where(np.isfinite(m), m, 0.0)
+        e = np.exp(a - safe_m[:, None])
+        s = np.sum(e, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lse = safe_m + np.log(s)
+            r = e / s[:, None]
+        r[s == 0.0] = 0.0
+        yield d, lse, r
+
+
+def reference_em_pass(events, n, sigma, l_max):
+    ls = np.arange(l_max + 1)
+    log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+    ll = sum_rl = sum_rsq = 0.0
+    for d, lse, r in _reference_chunks(events, n, sigma, l_max):
+        ll += float(np.sum(lse + log_norm))
+        sum_rl += float(np.sum(r @ ls))
+        sum_rsq += float(np.sum(r * d * d))
+    return ll, sum_rl, sum_rsq
+
+
+def reference_log_likelihood(events, n, sigma, l_max):
+    total = 0.0
+    log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+    for _, lse, _ in _reference_chunks(events, n, sigma, l_max):
+        if np.any(np.isneginf(lse)):
+            warnings.warn("mixture density underflowed to zero", RuntimeWarning)
+            return float("-inf")
+        total += float(np.sum(lse + log_norm))
+    return total
+
+
+def assert_kernel_matches_reference(events, n, sigma, l_max):
+    """Exact equality with the reference, with and without a reused workspace."""
+    want = reference_em_pass(events, n, sigma, l_max)
+    assert _em_pass(events, n, sigma, l_max) == want
+    # a workspace that already holds another pass must not leak into this one
+    ws = _Workspace(events.size, l_max)
+    _em_pass(events, 0.5 * n + 1.0, 2.0 * sigma, l_max, ws)
+    assert _em_pass(events, n, sigma, l_max, ws) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert log_likelihood(events, n, sigma, l_max) == reference_log_likelihood(
+            events, n, sigma, l_max
+        )
+
+
+class TestExactKernel:
+    """The workspace E-step against the single-exp reference, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        size=st.integers(1, 3000),
+        l_max=st.integers(1, 40),
+        log10_n=st.floats(-9.0, math.log10(20.0)),
+        sigma=st.floats(0.01, 5.0),
+        outliers=st.lists(st.sampled_from([-50.0, 1e3, 1e200]), max_size=3),
+    )
+    def test_matches_reference(self, seed, size, l_max, log10_n, sigma, outliers):
+        n = 10.0**log10_n
+        rng = np.random.default_rng(seed)
+        events = rng.poisson(min(n, 0.4 * l_max), size) + rng.normal(0.0, sigma, size)
+        events[rng.integers(0, size, len(outliers))] = outliers
+        assert_kernel_matches_reference(events, n, sigma, l_max)
+
+    def test_subnormal_and_zero_cells(self):
+        # with n = 1, sigma = 1 and l_max = 1 the l = 1 cell of event x sits
+        # x - 0.5 below the row max, so the first grid puts cells across the
+        # whole subnormal range; the second keeps sum(r l) subnormal, where
+        # additions are exact, around the underflow-to-zero point -745.13
+        for lo, hi in ((-747.0, -706.0), (-746.0, -744.0)):
+            events = np.linspace(lo, hi, 20001) + 0.5
+            assert_kernel_matches_reference(events, 1.0, 1.0, 1)
+            assert _em_pass(events, 1.0, 1.0, 1)[1] > 0.0
+
+    def test_chunk_boundary_and_underflow_warning(self):
+        events = draw_mixture_events(2.55, 0.33, (1 << 16) + 1, seed=12)
+        assert_kernel_matches_reference(events, 2.4, 0.3, 20)
+        events[-1] = 1e200  # the one event of the second chunk underflows
+        with pytest.warns(RuntimeWarning, match="underflow"):
+            assert log_likelihood(events, 2.4, 0.3) == float("-inf")
+        assert _em_pass(events, 2.4, 0.3, 20) == reference_em_pass(events, 2.4, 0.3, 20)
 
 
 class TestFitMixture:
