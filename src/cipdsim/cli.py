@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    KEY_SECTIONS,
     CliConfig,
     ConfigError,
     default_config_path,
@@ -49,25 +50,6 @@ from .estimation import (
 from .noise import QuadratureError, cds_sigma
 from .readout import RunConfig, extract_events, frames_to_csv, simulate_run
 from .source import mean_carriers
-
-_SWEEP_SECTIONS = {
-    "c_input_pf": "detector",
-    "g_m": "detector",
-    "eta_q": "detector",
-    "eta_c": "detector",
-    "leakage_per_hour": "detector",
-    "reset_threshold_mv": "detector",
-    "sigma_e": "noise",
-    "s_white_v2hz": "noise",
-    "a_pink_v2": "noise",
-    "f_cutoff_hz": "noise",
-    "delta_t_cds_s": "noise",
-    "f_min_hz": "noise",
-    "mean_photons": "source",
-    "pulse_width_s": "source",
-    "rep_rate_hz": "source",
-}
-
 
 #: Largest E-step buffer a fit may need: ``min(N, _EVENT_CHUNK)`` events by
 #: ``l_max + 1`` float64 components (the fit holds two such buffers).
@@ -203,7 +185,7 @@ def _cmd_simulate(args, dark: bool) -> int:
     run = simulate_run(run_cfg)
     events = extract_events(run)
 
-    out_dir = Path(args.out if args.out else (cfg.out_dir or "out"))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames_to_csv(run, out_dir / "frames.csv")
     _write_text(
@@ -276,10 +258,13 @@ def _cmd_fit(args) -> int:
     events = _read_events(args.events_file, args.column)
     if events.size == 0:
         raise InsufficientDataError(f"no events found in {args.events_file}")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(events))
+    if not math.isfinite(mean):
+        raise ValueError(f"the mean of the events in {args.events_file} overflows")
     if args.l_max is not None:
         l_max = args.l_max
     else:
-        mean = float(np.mean(events))
         l_max = max(20, int(np.ceil(2.0 * mean)) + 2)
     # bound the buffers before any of them is allocated
     buffer_bytes = min(events.size, _EVENT_CHUNK) * (l_max + 1) * 8
@@ -369,7 +354,7 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
         raise _UsageError(
             f"sweep parameter must look like KEY=START:STOP:STEP, got {spec!r}"
         ) from exc
-    if key not in _SWEEP_SECTIONS:
+    if key not in KEY_SECTIONS:
         raise ConfigError(f"unknown sweep key {key!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"bad range in {spec!r}")
@@ -397,7 +382,7 @@ def _cmd_sweep(args) -> int:
     for point in mesh:
         raw = copy.deepcopy(cfg.raw)
         for key, value in zip(keys, point):
-            raw[_SWEEP_SECTIONS[key]][key] = value
+            raw[KEY_SECTIONS[key]][key] = value
             # the CDS separation is defined as half the frame period, so it
             # tracks a swept repetition rate unless swept itself
             if (
@@ -431,13 +416,11 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return args.func(args)
-    except (ConfigError, InsufficientDataError, _UsageError) as exc:
-        return _fail(1, str(exc))
     except (QuadratureError, ConvergenceError) as exc:
         return _fail(2, str(exc))
-    except (ValueError, OverflowError) as exc:
-        return _fail(1, str(exc))
-    except MemoryError as exc:
+    # ConfigError, InsufficientDataError and _UsageError are ValueErrors; a
+    # MemoryError usually has no message
+    except (ValueError, OverflowError, MemoryError) as exc:
         return _fail(1, str(exc) or "out of memory")
     except OSError as exc:
         return _fail(3, str(exc))

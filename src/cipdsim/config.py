@@ -1,7 +1,8 @@
 """Strict JSON configuration for the CLI.
 
 The config file carries four objects (``detector``, ``noise``, ``source``,
-``run``) plus an optional ``output`` object. Unknown keys are rejected at
+``run``) plus an optional ``output`` object, whose one key is ``timestamp``.
+One table, ``_SCHEMA``, lists every numeric key. Unknown keys are rejected at
 every level so typos cannot silently fall back to defaults. Values use
 bench units (pF, mV, counts per hour); conversion to SI happens here, at
 the boundary.
@@ -30,7 +31,6 @@ class CliConfig:
     source: PulseConfig | None
     n_frames: int
     seed: int
-    out_dir: str | None
     timestamp: bool
     raw: dict
 
@@ -58,73 +58,71 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(v)
 
 
-def _parse_detector(obj: dict) -> DetectorParams:
-    keys = {"c_input_pf", "g_m", "eta_q", "eta_c", "leakage_per_hour", "reset_threshold_mv"}
-    _require_keys(obj, keys, keys, "detector")
-    try:
-        return DetectorParams(
-            c_input=_number(obj, "c_input_pf", "detector") * 1e-12,
-            g_m=_number(obj, "g_m", "detector"),
-            eta_q=_number(obj, "eta_q", "detector"),
-            eta_c=_number(obj, "eta_c", "detector"),
-            leakage_rate=_number(obj, "leakage_per_hour", "detector") / 3600.0,
-            reset_threshold=_number(obj, "reset_threshold_mv", "detector") * 1e-3,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
-
-
-#: NoiseSpec field behind each noise key, by the mode that uses the key.
-_NOISE_FIELDS = {
-    "direct": {"sigma_e": "sigma_e_direct"},
-    "psd": {
-        "s_white_v2hz": "s_white",
-        "a_pink_v2": "a_pink",
-        "f_cutoff_hz": "f_cutoff",
-        "delta_t_cds_s": "delta_t_cds",
-        "f_min_hz": "f_min",
+#: Every numeric key of the config, by section and, for noise, by the mode
+#: that uses it: JSON key -> (dataclass field, conversion from bench units to
+#: SI, required). ``float`` marks a value already in SI units.
+_SCHEMA = {
+    ("detector", None): {
+        "c_input_pf": ("c_input", lambda pf: pf * 1e-12, True),
+        "g_m": ("g_m", float, True),
+        "eta_q": ("eta_q", float, True),
+        "eta_c": ("eta_c", float, True),
+        "leakage_per_hour": ("leakage_rate", lambda per_hour: per_hour / 3600.0, True),
+        "reset_threshold_mv": ("reset_threshold", lambda mv: mv * 1e-3, True),
+    },
+    ("noise", "direct"): {"sigma_e": ("sigma_e_direct", float, True)},
+    ("noise", "psd"): {
+        "s_white_v2hz": ("s_white", float, True),
+        "a_pink_v2": ("a_pink", float, True),
+        "f_cutoff_hz": ("f_cutoff", float, False),
+        "delta_t_cds_s": ("delta_t_cds", float, False),
+        "f_min_hz": ("f_min", float, False),
+    },
+    ("source", None): {
+        "mean_photons": ("mean_photons_at_fiber", float, True),
+        "pulse_width_s": ("pulse_width", float, False),
+        "rep_rate_hz": ("rep_rate", float, False),
     },
 }
-_NOISE_REQUIRED = {"direct": {"sigma_e"}, "psd": {"s_white_v2hz", "a_pink_v2"}}
+
+#: Section of every numeric config key: the keys ``sweep`` can vary.
+KEY_SECTIONS = {key: section for (section, _), keys in _SCHEMA.items() for key in keys}
+
+_NOISE_MODES = ("direct", "psd")
+
+
+def _build(cls, section: str, obj: dict, keys: dict, **fixed):
+    """``cls`` from the ``keys`` of ``obj``, each converted to SI units.
+
+    ``fixed`` holds fields already read from ``obj`` (the noise ``mode``).
+    """
+    required = {key for key, (_, _, needed) in keys.items() if needed}
+    _require_keys(obj, {*keys, *fixed}, required, section)
+    values = {
+        field: to_si(_number(obj, key, section))
+        for key, (field, to_si, _) in keys.items()
+        if key in obj
+    }
+    try:
+        return cls(**fixed, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _parse_noise(obj: dict) -> NoiseSpec:
-    known = {"mode"}.union(*_NOISE_FIELDS.values())
+    known = {"mode"}.union(*(_SCHEMA["noise", m] for m in _NOISE_MODES))
     _require_keys(obj, known, {"mode"}, "noise")
     mode = obj["mode"]
-    if mode not in ("direct", "psd"):
+    if mode not in _NOISE_MODES:
         raise ConfigError(f"noise.mode must be 'direct' or 'psd', got {mode!r}")
-    fields = _NOISE_FIELDS[mode]
+    keys = _SCHEMA["noise", mode]
     # a key the mode ignores would silently leave the noise unchanged
-    unused = set(obj) - {"mode"} - set(fields)
+    unused = set(obj) - {"mode"} - set(keys)
     if unused:
         raise ConfigError(
             f"noise key(s) not used in {mode} mode: {', '.join(sorted(unused))}"
         )
-    _require_keys(obj, known, _NOISE_REQUIRED[mode], "noise")
-    try:
-        return NoiseSpec(
-            mode=mode,
-            **{f: _number(obj, key, "noise") for key, f in fields.items() if key in obj},
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _parse_source(obj: dict) -> PulseConfig:
-    allowed = {"mean_photons", "pulse_width_s", "rep_rate_hz"}
-    _require_keys(obj, allowed, {"mean_photons"}, "source")
-    defaults = PulseConfig.__dataclass_fields__
-    try:
-        return PulseConfig(
-            mean_photons_at_fiber=_number(obj, "mean_photons", "source"),
-            pulse_width=_number(obj, "pulse_width_s", "source")
-            if "pulse_width_s" in obj else defaults["pulse_width"].default,
-            rep_rate=_number(obj, "rep_rate_hz", "source")
-            if "rep_rate_hz" in obj else defaults["rep_rate"].default,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
+    return _build(NoiseSpec, "noise", obj, keys, mode=mode)
 
 
 def parse_config(raw: dict) -> CliConfig:
@@ -135,11 +133,13 @@ def parse_config(raw: dict) -> CliConfig:
         {"detector", "noise"},
         "config",
     )
-    detector = _parse_detector(raw["detector"])
+    detector = _build(
+        DetectorParams, "detector", raw["detector"], _SCHEMA["detector", None]
+    )
     noise = _parse_noise(raw["noise"])
     source = None
     if raw.get("source") is not None:
-        source = _parse_source(raw["source"])
+        source = _build(PulseConfig, "source", raw["source"], _SCHEMA["source", None])
 
     run = raw.get("run", {})
     if run is None:
@@ -159,10 +159,7 @@ def parse_config(raw: dict) -> CliConfig:
     output = raw.get("output", {})
     if output is None:
         output = {}
-    _require_keys(output, {"dir", "timestamp"}, set(), "output")
-    out_dir = output.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
+    _require_keys(output, {"timestamp"}, set(), "output")
     timestamp = output.get("timestamp", True)
     if not isinstance(timestamp, bool):
         raise ConfigError(f"output.timestamp must be a boolean, got {timestamp!r}")
@@ -173,7 +170,6 @@ def parse_config(raw: dict) -> CliConfig:
         source=source,
         n_frames=n_frames,
         seed=seed,
-        out_dir=out_dir,
         timestamp=timestamp,
         raw=raw,
     )

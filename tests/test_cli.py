@@ -110,6 +110,13 @@ class TestSimulate:
         assert res.returncode == 1
         assert "typo_key" in json.loads(res.stderr.strip())["message"]
 
+    def test_output_dir_key_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output={"dir": "results"})
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
+        assert res.returncode == 1
+        assert single_json_error(res)["message"] == "unknown key(s) in output: dir"
+        assert not (tmp_path / "o").exists()
+
     def test_out_dir_collision_is_io_error(self, tmp_path):
         stomp = tmp_path / "file.txt"
         stomp.write_text("x")
@@ -193,6 +200,16 @@ class TestFit:
         assert res.returncode == 1
         line = 8 + len(header)
         assert f"{path}:{line}" in single_json_error(res)["message"]
+
+    @pytest.mark.parametrize("l_max", [None, "30"])
+    def test_overflowing_mean_exit_1(self, tmp_path, l_max):
+        path = tmp_path / "ev.txt"
+        path.write_text("1e308\n" * 62)
+        args = [] if l_max is None else ["--l-max", l_max]
+        res = run_cli("fit", path, *args, "--out", tmp_path / "f")
+        assert res.returncode == 1
+        assert str(path) in single_json_error(res)["message"]
+        assert not (tmp_path / "f").exists()
 
     def test_missing_file_exit_3(self, tmp_path):
         res = run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "f")
@@ -337,6 +354,42 @@ class TestSweep:
     def test_unknown_key_exit_1(self, tmp_path):
         res = run_cli("sweep", "--out", tmp_path, "--param", "bogus=1:2:1")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "c_input_pf=0.05:0.06:0.01",
+            "g_m=0.5:1.0:0.5",
+            "eta_q=0.4:0.8:0.4",
+            "eta_c=0.4:0.8:0.4",
+            "leakage_per_hour=100:500:400",
+            "reset_threshold_mv=10:30:20",
+            "s_white_v2hz=5e-17:1e-16:5e-17",
+            "a_pink_v2=1e-14:3e-14:2e-14",
+            "f_cutoff_hz=500:1000:500",
+            "delta_t_cds_s=0.005:0.0125:0.0075",
+            "f_min_hz=0.01:0.02:0.01",
+            "mean_photons=1:2:1",
+            "pulse_width_s=0.001:0.002:0.001",
+            "rep_rate_hz=20:40:20",
+        ],
+    )
+    def test_every_numeric_key_of_the_psd_config_sweeps(self, tmp_path, capsys, spec):
+        key = spec.split("=")[0]
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--out", str(out), "--param", spec]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith(f"{key},")
+        assert len(lines) == 3
+
+    @pytest.mark.parametrize("key", ["seed", "n_frames"])
+    def test_run_keys_are_not_swept(self, tmp_path, capsys, key):
+        code, message = main_error(capsys, "sweep", "--out", tmp_path / "sw",
+                                   "--param", f"{key}=1:2:1")
+        assert code == 1
+        assert message == f"unknown sweep key {key!r}"
+        assert not (tmp_path / "sw").exists()
 
     def test_key_unused_by_psd_mode_exit_1(self, tmp_path):
         res = run_cli("sweep", "--out", tmp_path / "sw", "--param", "sigma_e=0.1:0.5:0.1")

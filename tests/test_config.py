@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from cipdsim import ConfigError, default_config_path, load_config
-from cipdsim.config import parse_config
+from cipdsim import ConfigError, NoiseSpec, PulseConfig, default_config_path, load_config
+from cipdsim.config import KEY_SECTIONS, parse_config
 
 
 @pytest.fixture
@@ -111,10 +111,47 @@ def test_invariant_violation_names_field(raw_default):
 
 
 def test_output_section(raw_default):
-    raw_default["output"] = {"dir": "results", "timestamp": False}
+    raw_default["output"] = {"timestamp": False}
     cfg = parse_config(raw_default)
-    assert cfg.out_dir == "results"
     assert cfg.timestamp is False
+    raw_default["output"] = {"dir": "results"}
+    with pytest.raises(ConfigError, match="^unknown key\\(s\\) in output: dir$"):
+        parse_config(raw_default)
+
+
+def test_units_convert_to_si_exactly(raw_default):
+    det = parse_config(raw_default).detector
+    assert det.c_input == 0.054 * 1e-12
+    assert det.leakage_rate == 500.0 / 3600.0
+    assert det.reset_threshold == 30.0 * 1e-3
+
+
+def test_optional_keys_take_dataclass_defaults(raw_default):
+    for key in ("pulse_width_s", "rep_rate_hz"):
+        del raw_default["source"][key]
+    for key in ("f_cutoff_hz", "delta_t_cds_s", "f_min_hz"):
+        del raw_default["noise"][key]
+    cfg = parse_config(raw_default)
+    assert cfg.source == PulseConfig(mean_photons_at_fiber=1.6731)
+    assert cfg.noise == NoiseSpec.psd(
+        raw_default["noise"]["s_white_v2hz"], raw_default["noise"]["a_pink_v2"]
+    )
+
+
+def test_numeric_keys_by_section():
+    assert KEY_SECTIONS == {
+        **dict.fromkeys(
+            ["c_input_pf", "g_m", "eta_q", "eta_c", "leakage_per_hour",
+             "reset_threshold_mv"],
+            "detector",
+        ),
+        **dict.fromkeys(
+            ["sigma_e", "s_white_v2hz", "a_pink_v2", "f_cutoff_hz", "delta_t_cds_s",
+             "f_min_hz"],
+            "noise",
+        ),
+        **dict.fromkeys(["mean_photons", "pulse_width_s", "rep_rate_hz"], "source"),
+    }
 
 
 def test_load_config_missing_file(tmp_path):
