@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -37,7 +38,6 @@ from .config import (
 )
 from .detector import snr, volts_per_carrier
 from .estimation import (
-    _EVENT_CHUNK,
     ConvergenceError,
     InsufficientDataError,
     build_histogram,
@@ -50,10 +50,6 @@ from .estimation import (
 from .noise import QuadratureError, cds_sigma
 from .readout import RunConfig, extract_events, frames_to_csv, simulate_run
 from .source import mean_carriers
-
-#: Largest E-step buffer a fit may need: ``min(N, _EVENT_CHUNK)`` events by
-#: ``l_max + 1`` float64 components (the fit holds two such buffers).
-_MAX_FIT_BUFFER_BYTES = 1 << 28
 
 #: Most histogram bins a fit may write (its fitted curve has five points a bin).
 _MAX_HIST_BINS = 1 << 16
@@ -71,10 +67,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(code: int, message: str) -> int:
     print(json.dumps({"code": code, "message": message}), file=sys.stderr)
     return code
-
-
-def _utc_stamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _json_safe(x):
@@ -133,7 +125,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument(
         "--l-max",
         type=int,
-        help="Poisson cutoff (default: 20, raised automatically for bright data)",
+        help="Poisson cutoff (default: max(20, ceil(2 * event mean) + 2))",
     )
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -174,7 +166,9 @@ def _cmd_simulate(args, dark: bool) -> int:
     cfg = _load_cli_config(args)
     n_frames = args.frames if args.frames is not None else cfg.n_frames
     seed = args.seed if args.seed is not None else cfg.seed
-    source = None if dark else cfg.source
+    source = cfg.source
+    if dark and source is not None:  # keeps the configured frame rate
+        source = dataclasses.replace(source, mean_photons_at_fiber=0.0)
     run_cfg = RunConfig(
         n_frames=n_frames,
         detector=cfg.detector,
@@ -219,7 +213,7 @@ def _cmd_simulate(args, dark: bool) -> int:
     }
     timestamp = cfg.timestamp and not args.no_timestamp
     if timestamp:
-        summary["timestamp"] = _utc_stamp()
+        summary["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(out_dir / "summary.json", summary)
     return 0
 
@@ -250,8 +244,6 @@ def _read_events(path: str, column: str | None) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
-    if args.l_max is not None and args.l_max < 1:
-        raise _UsageError(f"--l-max must be >= 1, got {args.l_max}")
     width = args.bin_width
     if not (math.isfinite(width) and width > 0):
         raise _UsageError(f"--bin-width must be finite and > 0, got {width!r}")
@@ -262,17 +254,6 @@ def _cmd_fit(args) -> int:
         mean = float(np.mean(events))
     if not math.isfinite(mean):
         raise ValueError(f"the mean of the events in {args.events_file} overflows")
-    if args.l_max is not None:
-        l_max = args.l_max
-    else:
-        l_max = max(20, int(np.ceil(2.0 * mean)) + 2)
-    # bound the buffers before any of them is allocated
-    buffer_bytes = min(events.size, _EVENT_CHUNK) * (l_max + 1) * 8
-    if buffer_bytes >= _MAX_FIT_BUFFER_BYTES:
-        raise _UsageError(
-            f"--l-max {l_max} needs {buffer_bytes} bytes per E-step buffer for "
-            f"{events.size} events; the limit is {_MAX_FIT_BUFFER_BYTES}"
-        )
     lo, hi = float(np.min(events)), float(np.max(events))
     with np.errstate(over="ignore", invalid="ignore"):
         first, last = np.floor((np.array([lo, hi]) + 0.5 * width) / width)
@@ -282,8 +263,8 @@ def _cmd_fit(args) -> int:
             f"--bin-width {width!r} gives {n_bins:.3g} histogram bins over "
             f"[{lo!r}, {hi!r}]; the limit is {_MAX_HIST_BINS}"
         )
-    fit = fit_mixture(events, l_max=l_max)
     hist = build_histogram(events, width)
+    fit = fit_mixture(events, l_max=args.l_max)
 
     chi2 = dof = None
     if fit.converged:
@@ -291,6 +272,10 @@ def _cmd_fit(args) -> int:
             chi2, dof = goodness_of_fit(hist, fit)
         except ValueError:
             pass  # too few populated bins for a chi-square; report nulls
+    # every output is computed before the first file is written
+    xs = hist.origin + np.arange(5 * len(hist.counts) + 1) * (hist.bin_width / 5.0)
+    dens = mixture_density(xs, fit.n_hat, fit.sigma_hat, fit.l_max)
+    expected = expected_bin_counts(hist, fit.n_hat, fit.sigma_hat, fit.l_max)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,8 +294,6 @@ def _cmd_fit(args) -> int:
         },
     )
 
-    xs = hist.origin + np.arange(5 * len(hist.counts) + 1) * (hist.bin_width / 5.0)
-    dens = mixture_density(xs, fit.n_hat, fit.sigma_hat, fit.l_max)
     scale = hist.total * hist.bin_width
     curve_lines = ["x,density,scaled_count"]
     curve_lines += [
@@ -318,7 +301,6 @@ def _cmd_fit(args) -> int:
     ]
     _write_text(out_dir / "fitted_curve.csv", "\n".join(curve_lines) + "\n")
 
-    expected = expected_bin_counts(hist, fit.n_hat, fit.sigma_hat, fit.l_max)
     hist_lines = ["bin_center,count,expected_count"]
     hist_lines += [
         f"{_fmt(c)},{int(k)},{_fmt(e)}"

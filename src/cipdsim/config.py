@@ -11,6 +11,7 @@ the boundary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -55,7 +56,14 @@ def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+    try:
+        value = float(v)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    # json parses the non-standard literals Infinity and NaN
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {v!r}")
+    return value
 
 
 #: Every numeric key of the config, by section and, for noise, by the mode

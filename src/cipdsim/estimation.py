@@ -48,6 +48,9 @@ SIGMA_FLOOR = 0.01
 _N_FLOOR = 1e-9
 
 _EVENT_CHUNK = 1 << 16
+#: A workspace float buffer (``min(N, _EVENT_CHUNK)`` events by ``l_max + 1``
+#: float64 components; a workspace holds two) must stay below this many bytes.
+_MAX_WORKSPACE_BYTES = 1 << 28
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 #: exp(x) is a normal float for x >= _LOG_DBL_MIN and subnormal or zero below.
@@ -105,12 +108,14 @@ class MixtureFit:
 
 
 def build_histogram(events, bin_width: float) -> Histogram:
-    """Bin events on a grid whose bin centers sit on multiples of the width."""
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    """Bin finite events on a grid whose bin centers sit on multiples of the width."""
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     events = np.asarray(events, dtype=float)
     if events.size == 0:
         raise InsufficientDataError("cannot histogram an empty event list")
+    if not np.isfinite(events).all():
+        raise ValueError("cannot histogram non-finite events")
     # grid bin 0 spans [-bin_width/2, bin_width/2); shift so the first
     # occupied grid bin becomes counts[0]
     idx = np.floor((events + 0.5 * bin_width) / bin_width).astype(np.int64)
@@ -130,10 +135,23 @@ def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Kernel buffers for one chunk of ``n_events`` events, reused across passes."""
+    """Kernel buffers for one chunk of ``n_events`` events, reused across passes.
+
+    Refuses, before allocating anything, an ``l_max`` below 1 or one whose
+    float buffer would reach ``_MAX_WORKSPACE_BYTES``, so every likelihood
+    pass has bounded memory whatever the cutoff.
+    """
 
     def __init__(self, n_events: int, l_max: int):
+        if not l_max >= 1:
+            raise ValueError(f"l_max must be >= 1, got {l_max}")
         shape = (min(n_events, _EVENT_CHUNK), l_max + 1)
+        nbytes = shape[0] * shape[1] * 8
+        if nbytes >= _MAX_WORKSPACE_BYTES:
+            raise ValueError(
+                f"l_max {l_max} needs {nbytes} bytes per E-step buffer for "
+                f"{n_events} events; the limit is {_MAX_WORKSPACE_BYTES}"
+            )
         self.ls = np.arange(l_max + 1.0)
         self.d = np.empty(shape)  # residuals x - l
         self.a = np.empty(shape)  # log-terms -> exponentials -> responsibilities
@@ -186,11 +204,9 @@ def mixture_density(x, n: float, sigma: float, l_max: int = 20):
         raise ValueError(f"n must be > 0, got {n}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not l_max >= 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    log_w = _log_poisson_weights(n, l_max)
     ws = _Workspace(x_arr.size, l_max)
+    log_w = _log_poisson_weights(n, l_max)
     lse = np.empty(x_arr.size)
     for lo in range(0, x_arr.size, _EVENT_CHUNK):
         chunk = x_arr[lo : lo + _EVENT_CHUNK]
@@ -264,7 +280,7 @@ def _em_pass(events, n, sigma, l_max, ws=None):
 def fit_mixture(
     events,
     init: tuple[float, float] | None = None,
-    l_max: int = 20,
+    l_max: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> MixtureFit:
@@ -276,6 +292,8 @@ def fit_mixture(
     residuals. Iterates until the log-likelihood change drops below ``tol``
     or ``max_iter`` is reached (``converged=False``, best-so-far values).
 
+    ``l_max`` is the Poisson cutoff; by default it is
+    ``max(20, ceil(2 * sample mean) + 2)``, well above the data.
     ``stderr_n`` is the asymptotic standard error of ``n_hat`` from the
     observed information (finite-difference Hessian at the optimum).
 
@@ -284,8 +302,10 @@ def fit_mixture(
     InsufficientDataError
         Fewer than 50 events.
     ValueError
-        Sample mean above ``l_max / 2``; fitting that close to the cutoff
-        would truncation-bias the Poisson mean. Raise ``l_max`` instead.
+        A non-finite sample mean (a NaN or infinite event, or a sum that
+        overflows); an ``l_max`` below 1 or one whose E-step buffer would
+        reach ``_MAX_WORKSPACE_BYTES``; or a sample mean above ``l_max / 2``,
+        where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
         The log-likelihood decreased between iterations (a broken update).
     """
@@ -294,7 +314,13 @@ def fit_mixture(
         raise InsufficientDataError(
             f"fit_mixture needs >= 50 events, got {events.size}"
         )
-    sample_mean = float(np.mean(events))
+    with np.errstate(over="ignore"):
+        sample_mean = float(np.mean(events))
+    if not np.isfinite(sample_mean):
+        raise ValueError(f"the sample mean of the events is {sample_mean}, not finite")
+    if l_max is None:
+        l_max = max(20, int(np.ceil(2.0 * sample_mean)) + 2)
+    ws = _Workspace(events.size, l_max)
     if sample_mean > l_max / 2.0:
         raise ValueError(
             f"sample mean {sample_mean:.3g} exceeds l_max/2 = {l_max / 2}; "
@@ -308,7 +334,6 @@ def fit_mixture(
         n = max(sample_mean, 0.05)
         sigma = 0.3
 
-    ws = _Workspace(events.size, l_max)
     ll_prev = -np.inf
     ll = -np.inf
     converged = False

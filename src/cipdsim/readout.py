@@ -184,9 +184,9 @@ def simulate_run(cfg: RunConfig) -> FrameRun:
     voltage reaches ``reset_threshold`` the frame is flagged and the node is
     cleared after the measurement. Deterministic for a fixed seed.
 
-    Dark runs (no source) assume the default 40 Hz frame rate for the
-    leakage accumulation; configure a source with zero mean photons to run
-    dark at another rate.
+    Runs without a source assume the default 40 Hz frame rate for the
+    leakage accumulation; a source with zero mean photons runs dark at its
+    own frame rate.
     """
     det = cfg.detector
     n = cfg.n_frames

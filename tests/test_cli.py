@@ -117,6 +117,17 @@ class TestSimulate:
         assert single_json_error(res)["message"] == "unknown key(s) in output: dir"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("literal, shown", [("Infinity", "inf"), ("NaN", "nan")])
+    def test_non_finite_config_value_exit_1(self, tmp_path, literal, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(default_config_path().read_text().replace(
+            '"mean_photons": 1.6731', f'"mean_photons": {literal}'))
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
+        assert res.returncode == 1
+        message = single_json_error(res)["message"]
+        assert message == f"source.mean_photons must be a finite number, got {shown}"
+        assert not (tmp_path / "o").exists()
+
     def test_out_dir_collision_is_io_error(self, tmp_path):
         stomp = tmp_path / "file.txt"
         stomp.write_text("x")
@@ -135,6 +146,24 @@ class TestDark:
         assert summary["config"]["source"] is None
         assert abs(summary["event_std"] - 0.26) < 0.005
         assert abs(summary["sigma_e_used"] - 0.26) < 0.01
+
+    def test_dark_integrates_leakage_at_the_source_frame_rate(self, tmp_path):
+        # 1000 leakage electrons per second at 200 Hz: 5 e per frame, not the
+        # 25 e of a 40 Hz frame
+        raw = json.loads(default_config_path().read_text())
+        raw["detector"]["leakage_per_hour"] = 3.6e6
+        raw["noise"] = {"mode": "direct", "sigma_e": 0.0}
+        raw["source"]["rep_rate_hz"] = 200.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "dark"
+        res = run_cli("dark", "--config", cfg, "--out", out, "--frames", "4000",
+                      "--seed", "5", "--no-timestamp")
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["source"] is None
+        assert summary["n_resets"] > 0
+        assert abs(summary["event_mean"] - 5.0) < 0.2
 
 
 class TestFit:
@@ -413,7 +442,7 @@ class TestSweep:
 class TestFitInputBounds:
     """Oversized fit requests are refused before any buffer is allocated."""
 
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def no_fit(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected request reached the fit")
@@ -427,21 +456,24 @@ class TestFitInputBounds:
         code, message = main_error(capsys, "fit", events, "--out", tmp_path / "f",
                                    "--l-max", l_max)
         assert code == 1
-        assert "--l-max" in message
+        assert "l_max" in message
         assert not (tmp_path / "f").exists()
 
     def test_l_max_bound_counts_one_event_chunk(self, tmp_path, capsys):
         # the buffer holds min(N, chunk) events, so a cutoff that a full chunk
         # cannot afford passes the check for a few events
-        l_max = cli._MAX_FIT_BUFFER_BYTES // (8 * cli._EVENT_CHUNK)
+        l_max = estimation._MAX_WORKSPACE_BYTES // (8 * estimation._EVENT_CHUNK)
         few = write_events(tmp_path / "few.txt")
-        with pytest.raises(AssertionError, match="reached the fit"):
-            cli.main(["fit", str(few), "--out", str(tmp_path / "f"), "--l-max", str(l_max)])
-        full = write_events(tmp_path / "full.txt", n=cli._EVENT_CHUNK)
+        assert cli.main(["fit", str(few), "--out", str(tmp_path / "ok"),
+                         "--l-max", str(l_max)]) == 0
+        assert (tmp_path / "ok" / "fit.json").exists()
+        full = write_events(tmp_path / "full.txt", n=estimation._EVENT_CHUNK)
         code, message = main_error(capsys, "fit", full, "--out", tmp_path / "f",
                                    "--l-max", l_max)
-        assert code == 1 and "--l-max" in message
+        assert code == 1 and "l_max" in message
+        assert not (tmp_path / "f").exists()
 
+    @pytest.mark.usefixtures("no_fit")
     @pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf", "1e-12", "1e-320"])
     def test_bin_width_out_of_bounds_exit_1(self, tmp_path, capsys, width):
         events = write_events(tmp_path / "ev.txt")

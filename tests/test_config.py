@@ -104,6 +104,17 @@ def test_non_numeric_value_rejected(raw_default):
         parse_config(raw_default)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+@pytest.mark.parametrize(
+    "section, key", [("detector", "leakage_per_hour"), ("noise", "a_pink_v2"),
+                     ("source", "mean_photons")]
+)
+def test_non_finite_value_rejected(raw_default, section, key, value):
+    raw_default[section][key] = value
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be a finite number"):
+        parse_config(raw_default)
+
+
 def test_invariant_violation_names_field(raw_default):
     raw_default["detector"]["eta_q"] = 1.5
     with pytest.raises(ConfigError, match="eta_q"):

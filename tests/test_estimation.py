@@ -24,6 +24,7 @@ from cipdsim import (
     mixture_density,
     sigma_from_dark,
 )
+from cipdsim import estimation
 from cipdsim.estimation import SIGMA_FLOOR, _em_pass, _Workspace
 
 
@@ -57,6 +58,18 @@ class TestBuildHistogram:
             build_histogram([], 0.1)
         with pytest.raises(ValueError):
             build_histogram([1.0], 0.0)
+
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="bin_width"):
+            build_histogram([0.0, 1.0], width)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_event_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                build_histogram([0.0, bad, 1.0], 0.1)
 
     def test_700_events_modal_bin_near_low_integers(self):
         events = draw_mixture_events(1.07, 0.3, 700, seed=1)
@@ -274,12 +287,80 @@ class TestFitMixture:
         assert fit.converged
         assert abs(fit.n_hat - 2.55) < 0.15
 
+    def test_default_cutoff_follows_the_data(self):
+        events = draw_mixture_events(12.0, 0.3, 2000, seed=11)
+        mean = float(np.mean(events))
+        fit = fit_mixture(events)
+        assert fit.converged
+        assert fit.l_max == max(20, math.ceil(2.0 * mean) + 2) > 20
+        assert abs(fit.n_hat - 12.0) < 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_event_rejected(self, bad):
+        events = draw_mixture_events(1.0, 0.3, 1000, seed=12)
+        events[500] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            fit_mixture(events)
+        with pytest.raises(ValueError, match="not finite"):
+            fit_mixture(events, l_max=20)
+
     def test_stderr_scales_with_sample_size(self):
         small = fit_mixture(draw_mixture_events(2.55, 0.33, 1000, seed=10))
         large = fit_mixture(draw_mixture_events(2.55, 0.33, 16000, seed=10))
         assert large.stderr_n < small.stderr_n
         # 1/sqrt(N) scaling, loosely
         assert large.stderr_n == pytest.approx(small.stderr_n / 4, rel=0.35)
+
+
+#: Every estimator entry point that runs the likelihood kernel, called on
+#: ``events`` with the cutoff ``l_max``.
+KERNEL_ENTRY_POINTS = {
+    "fit_mixture": lambda events, l_max: fit_mixture(events, l_max=l_max).log_likelihood,
+    "log_likelihood": lambda events, l_max: log_likelihood(events, 1.0, 0.3, l_max),
+    "log_likelihood_grad": lambda events, l_max: log_likelihood_grad(events, 1.0, 0.3, l_max),
+    "mixture_density": lambda events, l_max: mixture_density(events, 1.0, 0.3, l_max),
+}
+
+
+class TestWorkspaceBound:
+    """Every kernel entry point refuses a cutoff whose buffers exceed the limit."""
+
+    LIMIT = 1 << 20
+    N_EVENTS = 200
+
+    @pytest.fixture
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
+
+    def largest_l_max(self):
+        l_max = self.LIMIT // (8 * self.N_EVENTS) - 1
+        assert self.N_EVENTS * (l_max + 1) * 8 < self.LIMIT
+        assert self.N_EVENTS * (l_max + 2) * 8 >= self.LIMIT
+        return l_max
+
+    @pytest.mark.usefixtures("small_limit")
+    @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
+    def test_refused_just_above_the_limit(self, entry):
+        events = draw_mixture_events(1.0, 0.3, self.N_EVENTS, seed=13)
+        l_max = self.largest_l_max()
+        result = KERNEL_ENTRY_POINTS[entry](events, l_max)
+        assert np.all(np.isfinite(result))
+        with pytest.raises(ValueError, match=f"l_max {l_max + 1} needs") as info:
+            KERNEL_ENTRY_POINTS[entry](events, l_max + 1)
+        assert str(self.LIMIT) in str(info.value)
+
+    @pytest.mark.parametrize("l_max", [0, -3, 10**12])
+    @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
+    def test_refused_before_any_allocation(self, monkeypatch, entry, l_max):
+        events = draw_mixture_events(1.0, 0.3, self.N_EVENTS, seed=15)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused cutoff allocated an array")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ValueError, match="l_max"):
+            KERNEL_ENTRY_POINTS[entry](events, l_max)
 
 
 class TestClassify:

@@ -6,6 +6,7 @@ the simulation bytes identical and the fit within the stated tolerances.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -37,6 +38,11 @@ DARK_PINS = {
 
 SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
 
+FIT_PINS = {
+    "fitted_curve.csv": "b8caf4cce899d4f2787aab53700a27c42ad095cba50e95e450d6a3e3b718e023",
+    "histogram.csv": "4ed1723a5a30b2cbdc13ebc52af1ed23ea9d140dd8eeeb07d69a73a47dc33919",
+}
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -64,6 +70,25 @@ def test_two_dimensional_sweep_bytes_pinned(tmp_path):
                   "--out", tmp_path / "o")
     assert res.returncode == 0, res.stderr
     assert digests(tmp_path / "o") == {"sweep.csv": SWEEP_PIN}
+
+
+def test_fit_command_output_pinned(tmp_path):
+    res = run_cli("simulate", "--seed", 1, "--frames", 20000, "--no-timestamp",
+                  "--out", tmp_path / "sim")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("fit", tmp_path / "sim" / "events.csv", "--column", "measured_delta_e",
+                  "--out", tmp_path / "fit")
+    assert res.returncode == 0, res.stderr
+    got = digests(tmp_path / "fit")
+    assert {name: got[name] for name in FIT_PINS} == FIT_PINS
+    fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert fit["converged"] is True
+    assert fit["iterations"] == 13
+    assert fit["n_hat"] == 1.078962572819087
+    assert fit["sigma_hat"] == 0.25325014848557176
+    assert fit["log_likelihood"] == -25814.531473540716
+    assert fit["stderr_n"] == pytest.approx(0.007444198696625594, rel=1e-9, abs=0)
+    assert fit["dof"] == 62
 
 
 def test_fit_values_pinned():
