@@ -211,8 +211,7 @@ def _cmd_simulate(args, dark: bool) -> int:
         "event_mean": float(np.mean(events)) if events.size else None,
         "event_std": float(np.std(events, ddof=1)) if events.size >= 2 else None,
     }
-    timestamp = cfg.timestamp and not args.no_timestamp
-    if timestamp:
+    if not args.no_timestamp:
         summary["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(out_dir / "summary.json", summary)
     return 0

@@ -1,11 +1,10 @@
 """Strict JSON configuration for the CLI.
 
-The config file carries four objects (``detector``, ``noise``, ``source``,
-``run``) plus an optional ``output`` object, whose one key is ``timestamp``.
-One table, ``_SCHEMA``, lists every numeric key. Unknown keys are rejected at
-every level so typos cannot silently fall back to defaults. Values use
-bench units (pF, mV, counts per hour); conversion to SI happens here, at
-the boundary.
+The config file carries four objects: ``detector``, ``noise``, ``source``
+and ``run``. One table, ``_SCHEMA``, lists every numeric key. Unknown keys
+are rejected at every level so typos cannot silently fall back to defaults.
+Values use bench units (pF, mV, counts per hour); conversion to SI happens
+here, at the boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class CliConfig:
     source: PulseConfig | None
     n_frames: int
     seed: int
-    timestamp: bool
     raw: dict
 
 
@@ -96,7 +94,7 @@ _SCHEMA = {
 #: Section of every numeric config key: the keys ``sweep`` can vary.
 KEY_SECTIONS = {key: section for (section, _), keys in _SCHEMA.items() for key in keys}
 
-_NOISE_MODES = ("direct", "psd")
+_NOISE_MODES = tuple(mode for section, mode in _SCHEMA if section == "noise")
 
 
 def _build(cls, section: str, obj: dict, keys: dict, **fixed):
@@ -122,7 +120,8 @@ def _parse_noise(obj: dict) -> NoiseSpec:
     _require_keys(obj, known, {"mode"}, "noise")
     mode = obj["mode"]
     if mode not in _NOISE_MODES:
-        raise ConfigError(f"noise.mode must be 'direct' or 'psd', got {mode!r}")
+        modes = " or ".join(map(repr, _NOISE_MODES))
+        raise ConfigError(f"noise.mode must be {modes}, got {mode!r}")
     keys = _SCHEMA["noise", mode]
     # a key the mode ignores would silently leave the noise unchanged
     unused = set(obj) - {"mode"} - set(keys)
@@ -137,7 +136,7 @@ def parse_config(raw: dict) -> CliConfig:
     """Validate a loaded JSON document into a CliConfig."""
     _require_keys(
         raw,
-        {"detector", "noise", "source", "run", "output"},
+        {"detector", "noise", "source", "run"},
         {"detector", "noise"},
         "config",
     )
@@ -164,21 +163,12 @@ def parse_config(raw: dict) -> CliConfig:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"run.seed must be a 64-bit unsigned int, got {seed}")
 
-    output = raw.get("output", {})
-    if output is None:
-        output = {}
-    _require_keys(output, {"timestamp"}, set(), "output")
-    timestamp = output.get("timestamp", True)
-    if not isinstance(timestamp, bool):
-        raise ConfigError(f"output.timestamp must be a boolean, got {timestamp!r}")
-
     return CliConfig(
         detector=detector,
         noise=noise,
         source=source,
         n_frames=n_frames,
         seed=seed,
-        timestamp=timestamp,
         raw=raw,
     )
 

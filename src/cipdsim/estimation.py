@@ -59,6 +59,16 @@ _LOG_DBL_MIN = float(np.log(np.finfo(float).tiny))
 #: subnormal is exp(-745.13), so the margin keeps every nonzero result above.
 _LOG_EXP_ZERO = -746.0
 
+#: EM stops once the log-likelihood changes by less than this, or after
+#: ``_EM_ITERATIONS`` passes.
+_EM_TOL = 1e-8
+_EM_ITERATIONS = 500
+
+#: Histogram peaks are at least this many electrons apart and stand out by
+#: this fraction of the tallest bin.
+_PEAK_SEPARATION = 0.5
+_PEAK_PROMINENCE = 0.02
+
 
 class InsufficientDataError(ValueError):
     """Too few events for the requested operation."""
@@ -79,11 +89,11 @@ class Histogram:
     bin_width: float
     origin: float
     counts: np.ndarray
-    total: int
 
-    def __post_init__(self) -> None:
-        if int(np.sum(self.counts)) != self.total:
-            raise ValueError("total must equal the sum of counts")
+    @property
+    def total(self) -> int:
+        """Number of binned events."""
+        return int(self.counts.sum())
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -108,7 +118,12 @@ class MixtureFit:
 
 
 def build_histogram(events, bin_width: float) -> Histogram:
-    """Bin finite events on a grid whose bin centers sit on multiples of the width."""
+    """Bin finite events on a grid whose bin centers sit on multiples of the width.
+
+    Raises ``ValueError`` for a non-finite or non-positive ``bin_width``,
+    non-finite events, or a range whose bin counts would need
+    ``_MAX_WORKSPACE_BYTES`` or more.
+    """
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     events = np.asarray(events, dtype=float)
@@ -117,15 +132,23 @@ def build_histogram(events, bin_width: float) -> Histogram:
     if not np.isfinite(events).all():
         raise ValueError("cannot histogram non-finite events")
     # grid bin 0 spans [-bin_width/2, bin_width/2); shift so the first
-    # occupied grid bin becomes counts[0]
-    idx = np.floor((events + 0.5 * bin_width) / bin_width).astype(np.int64)
-    i0, i1 = int(idx.min()), int(idx.max())
-    counts = np.bincount(idx - i0, minlength=i1 - i0 + 1)
+    # occupied grid bin becomes counts[0]. The grid indices stay floats
+    # until the shift, which keeps them exact and far inside int64.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.floor((events + 0.5 * bin_width) / bin_width)
+        first = grid.min()
+        n_bins = grid.max() - first + 1.0
+    if not n_bins * 8 < _MAX_WORKSPACE_BYTES:
+        raise ValueError(
+            f"bin_width {bin_width} gives {n_bins:.3g} bins over "
+            f"[{events.min()}, {events.max()}]; their counts would need "
+            f"{n_bins * 8:.3g} bytes, the limit is {_MAX_WORKSPACE_BYTES}"
+        )
+    counts = np.bincount((grid - first).astype(np.int64), minlength=int(n_bins))
     return Histogram(
         bin_width=bin_width,
-        origin=(i0 - 0.5) * bin_width,
+        origin=(float(first) - 0.5) * bin_width,
         counts=counts.astype(np.int64),
-        total=int(events.size),
     )
 
 
@@ -281,16 +304,15 @@ def fit_mixture(
     events,
     init: tuple[float, float] | None = None,
     l_max: int | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> MixtureFit:
     """Maximum-likelihood fit of ``(n, sigma)`` by EM.
 
     The E-step distributes each event over the integer components; the
     M-step re-estimates the Poisson mean from the responsibility-weighted
     component indices and the width from the responsibility-weighted squared
-    residuals. Iterates until the log-likelihood change drops below ``tol``
-    or ``max_iter`` is reached (``converged=False``, best-so-far values).
+    residuals. Iterates until the log-likelihood changes by less than
+    ``_EM_TOL`` (1e-8), or for at most ``_EM_ITERATIONS`` (500) passes
+    (``converged=False``, best-so-far values).
 
     ``l_max`` is the Poisson cutoff; by default it is
     ``max(20, ceil(2 * sample mean) + 2)``, well above the data.
@@ -338,14 +360,14 @@ def fit_mixture(
     ll = -np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _EM_ITERATIONS + 1):
         ll, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max, ws)
         if ll < ll_prev - 1e-8 * (1.0 + abs(ll_prev)):
             raise ConvergenceError(
                 f"EM log-likelihood decreased ({ll_prev} -> {ll}); "
                 "this indicates a broken update"
             )
-        if abs(ll - ll_prev) < tol:
+        if abs(ll - ll_prev) < _EM_TOL:
             converged = True
             break
         ll_prev = ll
@@ -469,11 +491,34 @@ def estimate_qe(
 
 
 def expected_bin_counts(hist: Histogram, n: float, sigma: float, l_max: int = 20) -> np.ndarray:
-    """Model-predicted counts per histogram bin (total times the bin mass)."""
+    """Model-predicted counts per histogram bin (total times the bin mass).
+
+    The mixture CDF at the bin edges is an edges-by-components matrix times
+    the Poisson weights. It is built in row chunks of fewer than
+    ``_MAX_WORKSPACE_BYTES``, so memory stays bounded whatever the bin count;
+    an ``l_max`` whose single row reaches that limit raises ``ValueError``.
+    """
+    row_bytes = (l_max + 1) * 8
+    rows = (_MAX_WORKSPACE_BYTES - 1) // row_bytes
+    if rows < 1:
+        raise ValueError(
+            f"l_max {l_max} needs {row_bytes} bytes per histogram edge; "
+            f"the limit is {_MAX_WORKSPACE_BYTES}"
+        )
+    # BLAS matrix-vector kernels take rows in small groups and round a
+    # leftover row differently, so chunks start on multiples of 64 rows to
+    # keep each row's value the same as in one product over all the rows
+    if rows >= 64:
+        rows -= rows % 64
     edges = hist.bin_edges
-    ls = np.arange(l_max + 1)
+    ls = np.arange(l_max + 1.0)
     weights = np.exp(_log_poisson_weights(n, l_max))
-    cdf_at_edges = special.ndtr((edges[:, None] - ls) / sigma) @ weights
+    cdf_at_edges = np.empty(edges.size)
+    for lo in range(0, edges.size, rows):
+        cells = np.subtract(edges[lo : lo + rows, None], ls)
+        np.divide(cells, sigma, out=cells)
+        special.ndtr(cells, out=cells)
+        cdf_at_edges[lo : lo + rows] = cells @ weights
     return hist.total * np.diff(cdf_at_edges)
 
 
@@ -524,23 +569,19 @@ def sigma_from_dark(dark_events) -> float:
     return float(np.std(dark_events, ddof=1))
 
 
-def histogram_peaks(
-    hist: Histogram,
-    min_separation: float = 0.5,
-    prominence_frac: float = 0.02,
-) -> np.ndarray:
+def histogram_peaks(hist: Histogram) -> np.ndarray:
     """Centers (electrons) of local maxima in a histogram.
 
-    Peaks must be at least ``min_separation`` electrons apart and stand out
-    by ``prominence_frac`` of the tallest bin; used to check that the
-    multipeak structure resolves individual photon numbers.
+    Peaks must be at least ``_PEAK_SEPARATION`` (0.5) electrons apart and
+    stand out by ``_PEAK_PROMINENCE`` (0.02) of the tallest bin; used to
+    check that the multipeak structure resolves individual photon numbers.
     """
     # imported here so that importing the package does not load scipy.signal
     from scipy.signal import find_peaks
 
     counts = hist.counts.astype(float)
-    distance = max(1, int(round(min_separation / hist.bin_width)))
+    distance = max(1, int(round(_PEAK_SEPARATION / hist.bin_width)))
     peaks, _ = find_peaks(
-        counts, distance=distance, prominence=prominence_frac * counts.max()
+        counts, distance=distance, prominence=_PEAK_PROMINENCE * counts.max()
     )
     return hist.bin_centers[peaks]

@@ -37,8 +37,9 @@ STREAM_SIGNAL = 0x51
 STREAM_LEAKAGE = 0x1E
 STREAM_NOISE = 0xC5
 
-#: Frame rate assumed for dark runs (no source configured).
-DARK_FRAME_RATE = 40.0
+#: A Poisson sampling table (one float64 per carrier count) must stay below
+#: this many bytes.
+_MAX_TABLE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class RunConfig:
     n_frames: int
     detector: DetectorParams
     noise: NoiseSpec
-    source: PulseConfig | None = None   # absent = dark run
+    source: PulseConfig | None = None   # absent = PulseConfig(0.0), a dark run
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,23 +91,34 @@ def frame_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray
     return (raw[skip:] >> np.uint64(11)) * 2.0**-53
 
 
-def _poisson_cdf_table(mu: float) -> np.ndarray:
-    """Poisson CDF table covering all but < 1e-15 of the upper tail."""
-    if mu <= 0:
-        return np.ones(1)
-    kmax = int(mu + 12.0 * np.sqrt(mu) + 20.0)
-    cdf = special.pdtr(np.arange(kmax + 1), mu)
-    while 1.0 - cdf[-1] > 1e-15:
-        kmax *= 2
+def _poisson_cdf_table(mu: float, name: str) -> np.ndarray:
+    """Poisson CDF table covering all but < 1e-15 of the upper tail.
+
+    Refuses, before allocating, a table of ``_MAX_TABLE_BYTES`` or more, with
+    a ``ValueError`` naming ``name``, the parameter that set the mean ``mu``.
+    """
+    # capped so that a huge or infinite mean still fails the size check
+    kmax = int(min(mu + 12.0 * np.sqrt(mu) + 20.0, _MAX_TABLE_BYTES // 8))
+    while True:
+        if (kmax + 1) * 8 >= _MAX_TABLE_BYTES:
+            raise ValueError(
+                f"{name} gives a Poisson mean of {mu:.6g} carriers per frame; "
+                f"its sampling table would reach the limit of {_MAX_TABLE_BYTES} bytes"
+            )
         cdf = special.pdtr(np.arange(kmax + 1), mu)
-    return cdf
+        if 1.0 - cdf[-1] <= 1e-15:
+            return cdf
+        kmax *= 2
 
 
-def _poisson_from_uniforms(mu: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF Poisson draws from per-frame uniforms."""
+def _poisson_from_uniforms(mu: float, u: np.ndarray, name: str) -> np.ndarray:
+    """Inverse-CDF Poisson draws from per-frame uniforms.
+
+    ``name`` is the parameter that sets ``mu``, for the table-size error.
+    """
     if mu <= 0:
         return np.zeros(u.shape, dtype=np.uint64)
-    cdf = _poisson_cdf_table(mu)
+    cdf = _poisson_cdf_table(mu, name)
     k = np.searchsorted(cdf, u, side="left")
     return np.minimum(k, len(cdf) - 1).astype(np.uint64)
 
@@ -176,35 +188,34 @@ def _reset_reduction(
 def simulate_run(cfg: RunConfig) -> FrameRun:
     """Simulate ``cfg.n_frames`` frames of accumulate / CDS-read / reset.
 
-    Per frame: photo-carriers (Poisson with the source's mean carriers; zero
-    for dark runs) and leakage electrons (Poisson with the leakage rate per
-    frame period) land on the gate node; the reported CDS difference is the
-    carriers added this frame plus Gaussian read noise of std dev
-    ``cds_sigma(noise, detector)``; when the accumulated charge's output
-    voltage reaches ``reset_threshold`` the frame is flagged and the node is
-    cleared after the measurement. Deterministic for a fixed seed.
+    Per frame: photo-carriers (Poisson with the source's mean carriers) and
+    leakage electrons (Poisson with the leakage rate per frame period) land
+    on the gate node; the reported CDS difference is the carriers added this
+    frame plus Gaussian read noise of std dev ``cds_sigma(noise, detector)``;
+    when the accumulated charge's output voltage reaches ``reset_threshold``
+    the frame is flagged and the node is cleared after the measurement.
+    Deterministic for a fixed seed.
 
-    Runs without a source assume the default 40 Hz frame rate for the
-    leakage accumulation; a source with zero mean photons runs dark at its
-    own frame rate.
+    A dark run is a source with zero mean photons, which integrates leakage
+    at that source's frame rate; no source means ``PulseConfig(0.0)``, the
+    default 40 Hz. A mean whose Poisson sampling table would reach
+    ``_MAX_TABLE_BYTES`` raises ``ValueError`` naming
+    ``mean_photons_at_fiber`` or ``leakage_rate``.
     """
     det = cfg.detector
     n = cfg.n_frames
     sigma_e = cds_sigma(cfg.noise, det)
-
-    if cfg.source is not None:
-        mean_c = mean_carriers(cfg.source, det)
-        frame_rate = cfg.source.rep_rate
-    else:
-        mean_c = 0.0
-        frame_rate = DARK_FRAME_RATE
-    lam_leak = det.leakage_rate / frame_rate
+    source = cfg.source if cfg.source is not None else PulseConfig(0.0)
 
     true_c = _poisson_from_uniforms(
-        mean_c, frame_uniforms(cfg.seed, STREAM_SIGNAL, 0, n)
+        mean_carriers(source, det),
+        frame_uniforms(cfg.seed, STREAM_SIGNAL, 0, n),
+        "mean_photons_at_fiber",
     )
     leak_c = _poisson_from_uniforms(
-        lam_leak, frame_uniforms(cfg.seed, STREAM_LEAKAGE, 0, n)
+        det.leakage_rate / source.rep_rate,
+        frame_uniforms(cfg.seed, STREAM_LEAKAGE, 0, n),
+        "leakage_rate",
     )
     noise_e = _gaussian_from_uniforms(
         sigma_e, frame_uniforms(cfg.seed, STREAM_NOISE, 0, n)

@@ -114,7 +114,7 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", output={"dir": "results"})
         res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
         assert res.returncode == 1
-        assert single_json_error(res)["message"] == "unknown key(s) in output: dir"
+        assert single_json_error(res)["message"] == "unknown key(s) in config: output"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("literal, shown", [("Infinity", "inf"), ("NaN", "nan")])
@@ -127,6 +127,24 @@ class TestSimulate:
         message = single_json_error(res)["message"]
         assert message == f"source.mean_photons must be a finite number, got {shown}"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, name",
+        [("source", "mean_photons", 1e300, "mean_photons_at_fiber"),
+         ("detector", "leakage_per_hour", 1e30, "leakage_rate")],
+    )
+    def test_huge_poisson_mean_exit_1(self, tmp_path, section, key, value, name):
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o",
+                      "--frames", "100")
+        assert res.returncode == 1
+        assert single_json_error(res)["message"].startswith(f"{name} gives a Poisson mean")
+        assert not (tmp_path / "o").exists()
+
+    def test_timestamp_written_without_flag(self, tmp_path):
+        res = run_cli("simulate", "--out", tmp_path / "o", "--frames", "100")
+        assert res.returncode == 0, res.stderr
+        assert "timestamp" in json.loads((tmp_path / "o" / "summary.json").read_text())
 
     def test_out_dir_collision_is_io_error(self, tmp_path):
         stomp = tmp_path / "file.txt"
@@ -311,7 +329,7 @@ class TestSnr:
 
     @pytest.mark.parametrize(
         "section, value",
-        [("noise", 5), ("run", [1]), ("detector", "x"), ("source", []), ("output", 0)],
+        [("noise", 5), ("run", [1]), ("detector", "x"), ("source", [])],
     )
     def test_non_object_section_exit_1(self, tmp_path, section, value):
         cfg = write_config(tmp_path / "cfg.json", **{section: value})

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipdsim import ConfigError, NoiseSpec, PulseConfig, default_config_path, load_config
-from cipdsim.config import KEY_SECTIONS, parse_config
+from cipdsim.config import KEY_SECTIONS, CliConfig, parse_config
 
 
 @pytest.fixture
@@ -36,7 +38,7 @@ def test_unknown_top_level_key_rejected(raw_default):
 
 @pytest.mark.parametrize(
     "section, value",
-    [("detector", "x"), ("noise", 5), ("source", []), ("run", [1]), ("output", 0)],
+    [("detector", "x"), ("noise", 5), ("source", []), ("run", [1])],
 )
 def test_non_object_section_rejected(raw_default, section, value):
     raw_default[section] = value
@@ -122,12 +124,11 @@ def test_invariant_violation_names_field(raw_default):
 
 
 def test_output_section(raw_default):
-    raw_default["output"] = {"timestamp": False}
-    cfg = parse_config(raw_default)
-    assert cfg.timestamp is False
-    raw_default["output"] = {"dir": "results"}
-    with pytest.raises(ConfigError, match="^unknown key\\(s\\) in output: dir$"):
-        parse_config(raw_default)
+    for output in ({"timestamp": False}, {"dir": "results"}):
+        raw_default["output"] = output
+        with pytest.raises(ConfigError, match="^unknown key\\(s\\) in config: output$"):
+            parse_config(raw_default)
+
 
 
 def test_units_convert_to_si_exactly(raw_default):
@@ -175,3 +176,31 @@ def test_load_config_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(p)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_DEFAULT = json.loads(default_config_path().read_text())
+_TARGETS = [(section,) for section in _DEFAULT] + [
+    (section, key) for section, obj in _DEFAULT.items() for key in obj
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(_TARGETS), value=JSON)
+def test_arbitrary_json_parses_or_raises_config_error(target, value):
+    """One section or key of the bundled config replaced by any JSON value."""
+    raw = json.loads(json.dumps(_DEFAULT))
+    obj = raw
+    for name in target[:-1]:
+        obj = obj[name]
+    obj[target[-1]] = value
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, CliConfig)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,25 @@ class TestBuildHistogram:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 build_histogram([0.0, bad, 1.0], 0.1)
+
+    @pytest.mark.parametrize("events, width", [([0.0, 1e300], 0.1),
+                                               ([-1e308, 1e308], 1e-10)])
+    def test_huge_range_rejected_without_warning(self, events, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^bin_width {width} gives .* bins over"):
+                build_histogram(events, width)
+
+    def test_narrow_range_far_from_zero(self):
+        h = build_histogram([1e300, 1e300], 0.1)
+        assert list(h.counts) == [2]
+        assert h.bin_centers[0] == pytest.approx(1e300)
+
+    def test_bin_count_bound(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", 8 * 100)
+        assert len(build_histogram([0.0, 9.8], 0.1).counts) == 99
+        with pytest.raises(ValueError, match="100 bins over .* the limit is 800$"):
+            build_histogram([0.0, 9.9], 0.1)
 
     def test_700_events_modal_bin_near_low_integers(self):
         events = draw_mixture_events(1.07, 0.3, 700, seed=1)
@@ -486,6 +506,36 @@ class TestGoodnessOfFit:
         hist = build_histogram(events, 0.1)
         expected = expected_bin_counts(hist, 2.55, 0.3)
         assert abs(expected.sum() - hist.total) / hist.total < 0.001
+
+    # under 9216 cells, where OpenBLAS runs the product on one thread
+    @pytest.mark.parametrize("n_edges, l_max", [(400, 20), (290, 30)])
+    @pytest.mark.parametrize("rows", [64, 70, 99, 128])
+    def test_expected_counts_in_chunks_bit_identical(self, monkeypatch, n_edges,
+                                                      l_max, rows):
+        hist = build_histogram(np.arange(n_edges - 1) * 0.1 - 1.0, 0.1)
+        assert hist.bin_edges.size == n_edges and n_edges * (l_max + 1) < 9216
+        one_shot = expected_bin_counts(hist, 2.55, 0.3, l_max)
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", rows * (l_max + 1) * 8 + 1)
+        chunked = expected_bin_counts(hist, 2.55, 0.3, l_max)
+        assert np.array_equal(chunked, one_shot)
+
+    def test_expected_counts_memory_bounded(self, monkeypatch):
+        hist = build_histogram(np.arange(2001) * 0.1, 0.1)
+        one_shot = expected_bin_counts(hist, 2.55, 0.3, 1000)
+        matrix_bytes = hist.bin_edges.size * 1001 * 8  # 16 MB
+        limit = 1 << 16
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        tracemalloc.start()
+        try:
+            chunked = expected_bin_counts(hist, 2.55, 0.3, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's broadcasting buffers add a fixed 100-200 kB to each chunk
+        assert peak < matrix_bytes / 16
+        assert chunked == pytest.approx(one_shot, rel=1e-12, abs=1e-300)
+        with pytest.raises(ValueError, match="^l_max 8191 needs 65536 bytes"):
+            expected_bin_counts(hist, 2.55, 0.3, (limit >> 3) - 1)
 
     def test_wrong_sigma_is_rejected(self):
         events = draw_mixture_events(2.55, 0.3, 10**4, seed=12)

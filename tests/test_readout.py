@@ -13,6 +13,7 @@ from cipdsim import (
     simulate_run,
     volts_per_carrier,
 )
+from cipdsim import readout
 from cipdsim.readout import STREAM_SIGNAL, frames_to_csv
 
 
@@ -45,6 +46,40 @@ def test_dark_run_reproduces_measured_dark_sigma(device, calibrated_noise):
     run = simulate_run(cfg)
     events = extract_events(run)
     assert abs(np.std(events, ddof=1) - 0.26) < 0.005
+
+
+def test_no_source_is_a_zero_mean_source_at_40_hz():
+    base = dict(n_frames=5000, detector=make_detector(leakage_per_hour=1.8e6),
+                noise=NoiseSpec.direct(0.3), seed=21)
+    dark = simulate_run(RunConfig(**base))
+    lit = simulate_run(RunConfig(source=PulseConfig(0.0), **base))
+    assert dark.reset.any()
+    for column in ("true_carriers", "leakage_carriers", "accumulated_carriers",
+                   "measured_delta_e", "reset"):
+        assert np.array_equal(getattr(dark, column), getattr(lit, column)), column
+
+
+@pytest.mark.parametrize(
+    "mean_photons, leakage_per_hour, name",
+    [(1e300, 500.0, "mean_photons_at_fiber"), (1.0, 1e30, "leakage_rate")],
+)
+def test_huge_poisson_mean_refused_before_allocating(mean_photons, leakage_per_hour,
+                                                     name):
+    cfg = RunConfig(n_frames=10, detector=make_detector(leakage_per_hour),
+                    noise=NoiseSpec.direct(0.3), source=PulseConfig(mean_photons))
+    with pytest.raises(ValueError, match=f"^{name} gives a Poisson mean"):
+        simulate_run(cfg)
+
+
+def test_poisson_table_bound(monkeypatch):
+    # a mean of 64 carriers needs 64 + 12*8 + 20 + 1 = 181 table entries
+    cfg = RunConfig(n_frames=10, detector=make_detector(0.0),
+                    noise=NoiseSpec.direct(0.3), source=PulseConfig(100.0))
+    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 8 * 182)
+    simulate_run(cfg)
+    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 8 * 181)
+    with pytest.raises(ValueError, match="^mean_photons_at_fiber .* limit of 1448 bytes$"):
+        simulate_run(cfg)
 
 
 def test_leakage_rate_per_frame():
