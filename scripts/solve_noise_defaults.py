@@ -15,6 +15,9 @@ where sigma_read^2 = sigma_dark^2 - leakage_per_frame and I_white / I_pink
 are the unit-coefficient CDS band integrals. The solved values are checked
 against the 1 Hz bound and shipped in data/default_config.json.
 
+The device, the frame rate (``source.rep_rate_hz``) and the CDS timing come
+from ``--config``, the bundled config by default.
+
 Note: putting ALL of the 1 Hz bound into the pink term (a_pink = 2.5e-13)
 would alone produce ~0.5 e at the default CDS timing, so the two endpoints
 cannot be met with equality simultaneously; the default keeps the spectrum
@@ -22,11 +25,12 @@ well below the bound instead.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 
-from cipdsim.detector import DetectorParams, volts_per_carrier
-from cipdsim.noise import NoiseSpec, _cds_band_integrals, cds_sigma
+from cipdsim import (ConfigError, DetectorParams, NoiseSpec, PulseConfig, cds_sigma,
+                     cds_variance, default_config_path, load_config, volts_per_carrier)
 
 
 def solve(det: DetectorParams, base: NoiseSpec, target_dark_sigma: float,
@@ -37,12 +41,8 @@ def solve(det: DetectorParams, base: NoiseSpec, target_dark_sigma: float,
         raise SystemExit("leakage shot noise alone exceeds the dark-sigma target")
     target_v2 = var_read_e2 * volts_per_carrier(det) ** 2
 
-    unit_white = NoiseSpec.psd(1.0, 0.0, base.f_cutoff, base.delta_t_cds, base.f_min)
-    unit_pink = NoiseSpec.psd(0.0, 1.0, base.f_cutoff, base.delta_t_cds, base.f_min)
-    iw_s, iw_c, _, _ = _cds_band_integrals(unit_white)
-    ip_s, ip_c, _, _ = _cds_band_integrals(unit_pink)
-    i_white = 2.0 * (iw_s - iw_c)
-    i_pink = 2.0 * (ip_s - ip_c)
+    i_white, _ = cds_variance(dataclasses.replace(base, s_white=1.0, a_pink=0.0))
+    i_pink, _ = cds_variance(dataclasses.replace(base, s_white=0.0, a_pink=1.0))
 
     s_white = (1.0 - pink_fraction) * target_v2 / i_white
     a_pink = pink_fraction * target_v2 / i_pink
@@ -51,45 +51,44 @@ def solve(det: DetectorParams, base: NoiseSpec, target_dark_sigma: float,
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", default=default_config_path(),
+                    help="JSON config with the device, frame rate and CDS timing "
+                         "(default: the bundled config)")
     ap.add_argument("--dark-sigma", type=float, default=0.26,
                     help="total dark-frame std dev target, electrons")
-    ap.add_argument("--frame-rate", type=float, default=40.0, help="Hz")
     ap.add_argument("--pink-fraction", type=float, default=0.5,
                     help="fraction of the read-noise variance from the 1/f term")
-    ap.add_argument("--c-input-pf", type=float, default=0.054)
-    ap.add_argument("--g-m", type=float, default=1.0)
-    ap.add_argument("--leakage-per-hour", type=float, default=500.0)
-    ap.add_argument("--f-cutoff", type=float, default=1.0e3)
-    ap.add_argument("--f-min", type=float, default=0.01)
     args = ap.parse_args()
+    if not 0.0 <= args.pink_fraction <= 1.0:
+        ap.error(f"--pink-fraction must be in [0, 1], got {args.pink_fraction}")
 
-    det = DetectorParams(
-        c_input=args.c_input_pf * 1e-12,
-        g_m=args.g_m,
-        eta_q=0.8,
-        eta_c=0.8,
-        leakage_rate=args.leakage_per_hour / 3600.0,
-        reset_threshold=30e-3,
-    )
-    delta_t = 0.5 / args.frame_rate
-    base = NoiseSpec.psd(1.0, 0.0, args.f_cutoff, delta_t, args.f_min)
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as exc:
+        raise SystemExit(f"invalid config: {exc}") from None
+    if cfg.noise.mode != "psd":
+        raise SystemExit(
+            f"noise.mode must be 'psd' to solve PSD levels, got {cfg.noise.mode!r}"
+        )
+    det, base = cfg.detector, cfg.noise
+    # no source section means a dark run at the default frame rate
+    frame_rate = (cfg.source or PulseConfig(0.0)).rep_rate
     s_white, a_pink, var_read = solve(
-        det, base, args.dark_sigma, args.frame_rate, args.pink_fraction
+        det, base, args.dark_sigma, frame_rate, args.pink_fraction
     )
 
-    solved = NoiseSpec.psd(s_white, a_pink, args.f_cutoff, delta_t, args.f_min)
-    sigma_read = cds_sigma(solved, det)
+    sigma_read = cds_sigma(dataclasses.replace(base, s_white=s_white, a_pink=a_pink), det)
     asd_1hz = math.sqrt(s_white + a_pink)
     print(json.dumps({
         "s_white_v2hz": s_white,
         "a_pink_v2": a_pink,
-        "f_cutoff_hz": args.f_cutoff,
-        "delta_t_cds_s": delta_t,
-        "f_min_hz": args.f_min,
+        "f_cutoff_hz": base.f_cutoff,
+        "delta_t_cds_s": base.delta_t_cds,
+        "f_min_hz": base.f_min,
         "check_cds_sigma_e": sigma_read,
         "check_sigma_read_target_e": math.sqrt(var_read),
         "check_dark_sigma_e": math.sqrt(
-            sigma_read**2 + det.leakage_rate / args.frame_rate
+            sigma_read**2 + det.leakage_rate / frame_rate
         ),
         "check_asd_1hz_nv": asd_1hz * 1e9,
         "check_asd_below_500nv": asd_1hz < 500e-9,

@@ -10,8 +10,9 @@ sweep      grid-sweep one or two config keys, tabulating noise and error
 
 Exit codes: 0 success, 1 invalid input, 2 non-convergence, 3 I/O failure.
 Errors print a single-line JSON object ``{"code", "message"}`` to stderr.
-All outputs are byte-reproducible for a fixed seed; the only timestamp
-lives in summary.json and is suppressed by ``--no-timestamp``.
+All outputs are byte-reproducible for a fixed seed (``fit`` also needs a
+fixed BLAS thread count); the only timestamp lives in summary.json and is
+suppressed by ``--no-timestamp``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .detector import snr, volts_per_carrier
 from .estimation import (
     ConvergenceError,
     InsufficientDataError,
+    _grid,
     build_histogram,
     discrimination_error,
     expected_bin_counts,
@@ -151,12 +153,6 @@ def _build_parser() -> _Parser:
         metavar="KEY=START:STOP:STEP",
         help="config key and range (repeat once for a 2-D grid)",
     )
-    p_sweep.add_argument(
-        "--mode",
-        choices=["nearest", "map"],
-        default="nearest",
-        help="classification mode for the discrimination-error column",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -254,9 +250,7 @@ def _cmd_fit(args) -> int:
     if not math.isfinite(mean):
         raise ValueError(f"the mean of the events in {args.events_file} overflows")
     lo, hi = float(np.min(events)), float(np.max(events))
-    with np.errstate(over="ignore", invalid="ignore"):
-        first, last = np.floor((np.array([lo, hi]) + 0.5 * width) / width)
-        n_bins = last - first + 1.0  # build_histogram's bin count
+    _, _, n_bins = _grid(np.array([lo, hi]), width)
     if not n_bins < _MAX_HIST_BINS:
         raise _UsageError(
             f"--bin-width {width!r} gives {n_bins:.3g} histogram bins over "
@@ -376,7 +370,7 @@ def _cmd_sweep(args) -> int:
         det = point_cfg.detector
         sigma_e = cds_sigma(point_cfg.noise, det)
         n_mean = mean_carriers(point_cfg.source, det)
-        derr = discrimination_error(n_mean, sigma_e, mode=args.mode)
+        derr = discrimination_error(n_mean, sigma_e)
         extra = (sigma_e,) if emit_sigma else ()
         rows.append((*point, *extra, snr(det, 1.0, sigma_e), derr))
 

@@ -12,6 +12,8 @@ electron grid (gain calibration happens upstream, so the x axis is already
 in electrons) and the weights are tied through the single Poisson mean.
 Fitting is expectation-maximization on the component responsibilities, which
 has closed-form updates for both parameters and monotone log-likelihood.
+Every function that sums over the components takes ``l_max=None`` for the
+cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson mean ``n`` (``_cutoff``).
 
 The E-step (and ``mixture_density``) runs over events in chunks of
 ``_EVENT_CHUNK`` through one workspace (:class:`_Workspace`): a residual
@@ -131,13 +133,7 @@ def build_histogram(events, bin_width: float) -> Histogram:
         raise InsufficientDataError("cannot histogram an empty event list")
     if not np.isfinite(events).all():
         raise ValueError("cannot histogram non-finite events")
-    # grid bin 0 spans [-bin_width/2, bin_width/2); shift so the first
-    # occupied grid bin becomes counts[0]. The grid indices stay floats
-    # until the shift, which keeps them exact and far inside int64.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.floor((events + 0.5 * bin_width) / bin_width)
-        first = grid.min()
-        n_bins = grid.max() - first + 1.0
+    grid, first, n_bins = _grid(events, bin_width)
     if not n_bins * 8 < _MAX_WORKSPACE_BYTES:
         raise ValueError(
             f"bin_width {bin_width} gives {n_bins:.3g} bins over "
@@ -150,6 +146,28 @@ def build_histogram(events, bin_width: float) -> Histogram:
         origin=(float(first) - 0.5) * bin_width,
         counts=counts.astype(np.int64),
     )
+
+
+def _grid(events, bin_width: float):
+    """Float grid indices of events (bin 0 centred on 0), the first and the bin count.
+
+    A range too wide for the grid gives an infinite or NaN bin count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.floor((events + 0.5 * bin_width) / bin_width)
+        first = grid.min()
+        return grid, first, grid.max() - first + 1.0
+
+
+def _cutoff(mean: float) -> int:
+    """The default Poisson cutoff ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
+
+    Refuses a non-finite mean and one whose ``l_max + 1`` doubles could
+    reach ``_MAX_WORKSPACE_BYTES``.
+    """
+    if not (np.isfinite(mean) and (2.0 * mean + 4.0) * 8 < _MAX_WORKSPACE_BYTES):
+        raise ValueError(f"mean {mean}: l_max would need {_MAX_WORKSPACE_BYTES}+ bytes")
+    return max(20, int(np.ceil(2.0 * mean)) + 2)
 
 
 def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
@@ -216,7 +234,7 @@ def _chunk_softmax(x, log_w, sigma, ws):
     return d, a, lse, s
 
 
-def mixture_density(x, n: float, sigma: float, l_max: int = 20):
+def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     """Poisson-weighted Gaussian mixture density at ``x`` (per electron).
 
     Computed in log space so that large ``l_max`` and far tails do not
@@ -227,6 +245,7 @@ def mixture_density(x, n: float, sigma: float, l_max: int = 20):
         raise ValueError(f"n must be > 0, got {n}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    l_max = _cutoff(n) if l_max is None else l_max
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     ws = _Workspace(x_arr.size, l_max)
     log_w = _log_poisson_weights(n, l_max)
@@ -238,7 +257,7 @@ def mixture_density(x, n: float, sigma: float, l_max: int = 20):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def log_likelihood(events, n: float, sigma: float, l_max: int = 20) -> float:
+def log_likelihood(events, n: float, sigma: float, l_max: int | None = None) -> float:
     """Total log-likelihood of the events under the mixture.
 
     Uses log-sum-exp per event. If any event's density underflows to zero
@@ -258,7 +277,7 @@ def log_likelihood(events, n: float, sigma: float, l_max: int = 20) -> float:
 
 
 def log_likelihood_grad(
-    events, n: float, sigma: float, l_max: int = 20
+    events, n: float, sigma: float, l_max: int | None = None
 ) -> tuple[float, float]:
     """Gradient of :func:`log_likelihood` with respect to ``(n, sigma)``.
 
@@ -279,6 +298,7 @@ def _em_pass(events, n, sigma, l_max, ws=None):
     :class:`_Workspace` for these events and ``l_max``; without one the pass
     allocates its own.
     """
+    l_max = _cutoff(n) if l_max is None else l_max
     if ws is None:
         ws = _Workspace(events.size, l_max)
     log_w = _log_poisson_weights(n, l_max)
@@ -300,11 +320,7 @@ def _em_pass(events, n, sigma, l_max, ws=None):
     return ll, sum_rl, sum_rsq
 
 
-def fit_mixture(
-    events,
-    init: tuple[float, float] | None = None,
-    l_max: int | None = None,
-) -> MixtureFit:
+def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     """Maximum-likelihood fit of ``(n, sigma)`` by EM.
 
     The E-step distributes each event over the integer components; the
@@ -340,21 +356,15 @@ def fit_mixture(
         sample_mean = float(np.mean(events))
     if not np.isfinite(sample_mean):
         raise ValueError(f"the sample mean of the events is {sample_mean}, not finite")
-    if l_max is None:
-        l_max = max(20, int(np.ceil(2.0 * sample_mean)) + 2)
+    l_max = _cutoff(sample_mean) if l_max is None else l_max
     ws = _Workspace(events.size, l_max)
     if sample_mean > l_max / 2.0:
         raise ValueError(
             f"sample mean {sample_mean:.3g} exceeds l_max/2 = {l_max / 2}; "
             "increase l_max to avoid truncation bias"
         )
-    if init is not None:
-        n, sigma = float(init[0]), float(init[1])
-        if not n > 0 or not sigma > 0:
-            raise ValueError("init values must be positive")
-    else:
-        n = max(sample_mean, 0.05)
-        sigma = 0.3
+    n = max(sample_mean, 0.05)
+    sigma = 0.3
 
     ll_prev = -np.inf
     ll = -np.inf
@@ -407,7 +417,7 @@ def _stderr_n(events, n, sigma, l_max) -> float:
     return float(np.sqrt(var_n)) if var_n > 0 else float("nan")
 
 
-def map_boundaries(n: float, sigma: float, l_max: int = 20) -> np.ndarray:
+def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarray:
     """Decision boundaries of the MAP classifier between l and l+1.
 
     With a shared width the pairwise log-posterior difference is linear in
@@ -415,11 +425,12 @@ def map_boundaries(n: float, sigma: float, l_max: int = 20) -> np.ndarray:
     ``l + 1/2 + sigma^2 ln((l+1)/n)``; boundaries shift toward the
     lower-prior component.
     """
+    l_max = _cutoff(n) if l_max is None else l_max
     ls = np.arange(l_max)
     return ls + 0.5 + sigma**2 * np.log((ls + 1.0) / n)
 
 
-def classify(x, n: float, sigma: float, mode: str = "nearest", l_max: int = 20):
+def classify(x, n: float, sigma: float, mode: str = "nearest", l_max: int | None = None):
     """Assign carrier values to photon numbers.
 
     ``nearest`` rounds to the closest non-negative integer (ties upward);
@@ -438,7 +449,7 @@ def classify(x, n: float, sigma: float, mode: str = "nearest", l_max: int = 20):
 
 
 def discrimination_error(
-    n: float, sigma: float, mode: str = "nearest", l_max: int = 20
+    n: float, sigma: float, mode: str = "nearest", l_max: int | None = None
 ) -> float:
     """Expected misclassification probability under the mixture model.
 
@@ -451,6 +462,7 @@ def discrimination_error(
         return 0.0
     if not sigma > 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    l_max = _cutoff(n) if l_max is None else l_max
     ls = np.arange(l_max + 1)
     weights = np.exp(_log_poisson_weights(n, l_max))
     if mode == "nearest":
@@ -490,7 +502,9 @@ def estimate_qe(
     return qe, stderr_n / denom
 
 
-def expected_bin_counts(hist: Histogram, n: float, sigma: float, l_max: int = 20) -> np.ndarray:
+def expected_bin_counts(
+    hist: Histogram, n: float, sigma: float, l_max: int | None = None
+) -> np.ndarray:
     """Model-predicted counts per histogram bin (total times the bin mass).
 
     The mixture CDF at the bin edges is an edges-by-components matrix times
@@ -498,6 +512,7 @@ def expected_bin_counts(hist: Histogram, n: float, sigma: float, l_max: int = 20
     ``_MAX_WORKSPACE_BYTES``, so memory stays bounded whatever the bin count;
     an ``l_max`` whose single row reaches that limit raises ``ValueError``.
     """
+    l_max = _cutoff(n) if l_max is None else l_max
     row_bytes = (l_max + 1) * 8
     rows = (_MAX_WORKSPACE_BYTES - 1) // row_bytes
     if rows < 1:

@@ -102,23 +102,9 @@ class NoiseSpec:
         return cls(mode="direct", sigma_e_direct=sigma_e)
 
     @classmethod
-    def psd(
-        cls,
-        s_white: float,
-        a_pink: float,
-        f_cutoff: float = 1.0e3,
-        delta_t_cds: float = 12.5e-3,
-        f_min: float = 0.01,
-    ) -> "NoiseSpec":
-        """White + 1/f PSD with CDS timing."""
-        return cls(
-            mode="psd",
-            s_white=s_white,
-            a_pink=a_pink,
-            f_cutoff=f_cutoff,
-            delta_t_cds=delta_t_cds,
-            f_min=f_min,
-        )
+    def psd(cls, s_white: float, a_pink: float, **timing: float) -> "NoiseSpec":
+        """White + 1/f PSD; ``timing`` sets ``f_cutoff``, ``delta_t_cds`` or ``f_min``."""
+        return cls(mode="psd", s_white=s_white, a_pink=a_pink, **timing)
 
 
 def psd_value(spec: NoiseSpec, f):
@@ -136,13 +122,25 @@ def psd_value(spec: NoiseSpec, f):
     return float(out) if np.isscalar(f) else out
 
 
-def _cds_band_integrals(spec: NoiseSpec) -> tuple[float, float, float, float]:
-    """Smooth and cosine parts of the CDS band integral, with quad errors.
+def cds_variance(spec: NoiseSpec) -> tuple[float, float]:
+    """Voltage variance after CDS and its quadrature error bound (both V^2).
 
-    Uses 4 sin^2(pi f dt) = 2 (1 - cos(2 pi f dt)): the smooth part is an
-    ordinary adaptive quadrature, the oscillatory part goes through the
-    cosine-weighted rule.
+    The PSD times the CDS and low-pass transfer functions is integrated over
+    ``[f_min, 100 * f_cutoff]``. Uses 4 sin^2(pi f dt) = 2 (1 - cos(2 pi f dt)):
+    the smooth part is an ordinary adaptive quadrature, the oscillatory part
+    goes through the cosine-weighted rule.
+
+    Raises
+    ------
+    ValueError
+        For a ``direct`` mode spec, which has no PSD.
+    QuadratureError
+        If the quadrature cannot deliver the variance to a relative 1e-6
+        (relative to the pre-CDS band power when CDS cancellation makes the
+        variance itself vanish, as for delta_t_cds -> 0).
     """
+    if spec.mode != "psd":
+        raise ValueError("cds_variance requires a NoiseSpec in psd mode")
     # imported here so that importing the package does not load scipy.integrate
     from scipy.integrate import IntegrationWarning, quad
 
@@ -170,28 +168,6 @@ def _cds_band_integrals(spec: NoiseSpec) -> tuple[float, float, float, float]:
             )
         except IntegrationWarning as exc:
             raise QuadratureError(f"CDS variance quadrature failed: {exc}") from exc
-    return i_smooth, i_cos, err_smooth, err_cos
-
-
-def cds_sigma(spec: NoiseSpec, params: DetectorParams) -> float:
-    """Charge-referred readout noise after CDS (electrons rms).
-
-    In ``direct`` mode this is the configured sigma unchanged. In ``psd``
-    mode the voltage variance is obtained by adaptive quadrature of the PSD
-    times the CDS and low-pass transfer functions over
-    ``[f_min, 100 * f_cutoff]`` and converted to electrons.
-
-    Raises
-    ------
-    QuadratureError
-        If the quadrature cannot deliver the variance to a relative 1e-6
-        (relative to the pre-CDS band power when CDS cancellation makes the
-        variance itself vanish, as for delta_t_cds -> 0).
-    """
-    if spec.mode == "direct":
-        assert spec.sigma_e_direct is not None
-        return spec.sigma_e_direct
-    i_smooth, i_cos, err_smooth, err_cos = _cds_band_integrals(spec)
     variance = 2.0 * (i_smooth - i_cos)
     err_total = 2.0 * (err_smooth + err_cos)
     scale = max(abs(variance), 1e-2 * 2.0 * abs(i_smooth))
@@ -200,4 +176,18 @@ def cds_sigma(spec: NoiseSpec, params: DetectorParams) -> float:
             f"CDS variance quadrature error {err_total:.3e} exceeds "
             f"tolerance {CDS_QUAD_RTOL:.0e} * {scale:.3e}"
         )
+    return variance, err_total
+
+
+def cds_sigma(spec: NoiseSpec, params: DetectorParams) -> float:
+    """Charge-referred readout noise after CDS (electrons rms).
+
+    In ``direct`` mode this is the configured sigma unchanged. In ``psd``
+    mode it is the square root of :func:`cds_variance` converted to
+    electrons, and raises :class:`QuadratureError` as that function does.
+    """
+    if spec.mode == "direct":
+        assert spec.sigma_e_direct is not None
+        return spec.sigma_e_direct
+    variance, _ = cds_variance(spec)
     return math.sqrt(max(variance, 0.0)) / volts_per_carrier(params)

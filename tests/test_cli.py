@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cipdsim import cli, default_config_path, estimation
 
@@ -386,6 +387,18 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r[1] > 0 and np.isfinite(r[1]) for r in rows)
 
+    def test_bright_means_are_not_truncated(self, tmp_path):
+        # bright means: nearly every component errs two-sided, 2 Phi(-0.5/sigma_e)
+        out = tmp_path / "sw"
+        res = run_cli("sweep", "--out", out, "--param", "mean_photons=10:70:20")
+        assert res.returncode == 0, res.stderr
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "mean_photons,sigma_e,snr_n1,discrimination_error"
+        rows = [list(map(float, line.split(","))) for line in lines[1:]]
+        assert [r[0] for r in rows] == [10.0, 30.0, 50.0, 70.0]
+        for _, sigma_e, _, derr in rows:
+            assert abs(derr - 2.0 * special.ndtr(-0.5 / sigma_e)) < 1e-3
+
     def test_two_parameter_grid(self, tmp_path):
         out = tmp_path / "sw"
         res = run_cli(
@@ -500,6 +513,27 @@ class TestFitInputBounds:
         assert code == 1
         assert "--bin-width" in message
         assert not (tmp_path / "f").exists()
+
+
+    @pytest.mark.parametrize("n_bins", [cli._MAX_HIST_BINS - 1, cli._MAX_HIST_BINS])
+    def test_bin_limit_counts_build_histogram_bins(self, tmp_path, capsys, monkeypatch,
+                                                   n_bins):
+        events = np.linspace(0.0, n_bins - 1.0, 60)
+        assert len(estimation.build_histogram(events, 1.0).counts) == n_bins
+        path = tmp_path / "ev.txt"
+        path.write_text("".join(f"{v!r}\n" for v in events.tolist()))
+
+        def reached(*args, **kwargs):
+            raise ValueError("reached the fit")
+
+        monkeypatch.setattr(cli, "fit_mixture", reached)
+        code, message = main_error(capsys, "fit", path, "--out", tmp_path / "f",
+                                   "--bin-width", "1")
+        assert code == 1
+        if n_bins < cli._MAX_HIST_BINS:
+            assert message == "reached the fit"
+        else:
+            assert "--bin-width" in message and str(cli._MAX_HIST_BINS) in message
 
 
 class TestErrorContract:

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipdsim import ConfigError, NoiseSpec, PulseConfig, default_config_path, load_config
+from cipdsim import (ConfigError, NoiseSpec, PulseConfig, cli, default_config_path,
+                     load_config)
 from cipdsim.config import KEY_SECTIONS, CliConfig, parse_config
 
 
@@ -204,3 +207,28 @@ def test_arbitrary_json_parses_or_raises_config_error(target, value):
     except ConfigError:
         return
     assert isinstance(cfg, CliConfig)
+
+
+_SECTIONS = [target for target in _TARGETS if len(target) == 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(section=st.sampled_from(_SECTIONS), value=JSON)
+def test_cli_answers_an_arbitrary_json_section(tmp_path_factory, section, value):
+    """The CLI's half of the boundary: exit 1 and one JSON line, or a result."""
+    raw = json.loads(json.dumps(_DEFAULT))
+    raw[section[0]] = value
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["snr", "--config", str(path)])
+    try:
+        parse_config(raw)
+    except ConfigError as exc:
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0]) == {"code": 1, "message": str(exc)}
+    else:
+        assert code == 0 and err.getvalue() == ""

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -301,12 +301,6 @@ class TestFitMixture:
         fit = fit_mixture(events, l_max=30)
         assert fit.converged
 
-    def test_explicit_init(self):
-        events = draw_mixture_events(2.55, 0.33, 2000, seed=9)
-        fit = fit_mixture(events, init=(1.0, 0.5))
-        assert fit.converged
-        assert abs(fit.n_hat - 2.55) < 0.15
-
     def test_default_cutoff_follows_the_data(self):
         events = draw_mixture_events(12.0, 0.3, 2000, seed=11)
         mean = float(np.mean(events))
@@ -466,6 +460,51 @@ class TestDiscriminationError:
         grid = np.arange(0.05, 0.601, 0.05)
         vals = [discrimination_error(1.07, s, mode) for s in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestDefaultCutoff:
+    """``l_max=None`` derives the Poisson cutoff from the mean, as the fit does."""
+
+    @pytest.mark.parametrize("n", [0.05, 1.07, 2.85, 9.0])
+    def test_twenty_up_to_a_mean_of_nine(self, n):
+        assert estimation._cutoff(n) == 20
+        assert discrimination_error(n, 0.3, "map") == discrimination_error(
+            n, 0.3, "map", l_max=20
+        )
+        xs = np.linspace(-1.0, 25.0, 101)
+        np.testing.assert_array_equal(
+            mixture_density(xs, n, 0.3), mixture_density(xs, n, 0.3, l_max=20)
+        )
+
+    def test_bright_mean_is_not_truncated(self):
+        assert estimation._cutoff(30.0) == 62
+        assert classify(25.0, 30.0, 0.3, "map") == 25
+        # interior components dominate: every one errs two-sided
+        assert discrimination_error(70.0, 0.3) == pytest.approx(
+            2.0 * special.ndtr(-0.5 / 0.3), abs=1e-6
+        )
+
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, 1e9])
+    def test_unusable_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="l_max"):
+            classify(0.0, mean, 0.3, "map")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1.07, 2.85, 15.0, 30.0]),
+        sigma=st.floats(0.1, 0.6),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_map_is_the_posterior_argmax(self, n, sigma, u):
+        # x anywhere from below zero to four Poisson deviations above the mean
+        x = -3.0 + u * (n + 4.0 * math.sqrt(n) + 3.0)
+        ls = np.arange(400.0)
+        log_post = ls * math.log(n) - n - special.gammaln(ls + 1.0) - (x - ls) ** 2 / (
+            2.0 * sigma**2
+        )
+        top2 = np.sort(log_post)[-2:]
+        assume(top2[1] - top2[0] > 1e-9)  # not on a boundary up to rounding
+        assert classify(x, n, sigma, "map") == int(np.argmax(log_post))
 
 
 class TestEstimateQe:

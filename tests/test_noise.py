@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cipdsim import NoiseSpec, RunConfig, cds_sigma, psd_value, simulate_run, volts_per_carrier
+from cipdsim import (
+    NoiseSpec,
+    QuadratureError,
+    RunConfig,
+    cds_sigma,
+    cds_variance,
+    psd_value,
+    simulate_run,
+    volts_per_carrier,
+)
 
 
 class TestPsdValue:
@@ -118,6 +127,35 @@ class TestCdsSigma:
         assert abs(sigma - 0.26) < 0.01
         lam = device.leakage_rate / 40.0
         assert math.sqrt(sigma**2 + lam) == pytest.approx(0.26, abs=1e-6)
+
+
+class TestCdsVariance:
+    def test_sigma_is_its_root_in_electrons(self, device, calibrated_noise):
+        variance, err = cds_variance(calibrated_noise)
+        sigma = math.sqrt(variance) / volts_per_carrier(device)
+        assert cds_sigma(calibrated_noise, device) == sigma
+        assert 0.0 <= err <= 1e-6 * variance
+
+    def test_linear_in_the_psd_levels(self, calibrated_noise):
+        # the noise script solves the PSD levels from these unit-level integrals
+        unit = dataclasses.replace
+        i_white, _ = cds_variance(unit(calibrated_noise, s_white=1.0, a_pink=0.0))
+        i_pink, _ = cds_variance(unit(calibrated_noise, s_white=0.0, a_pink=1.0))
+        variance, _ = cds_variance(calibrated_noise)
+        s, a = calibrated_noise.s_white, calibrated_noise.a_pink
+        assert variance == pytest.approx(s * i_white + a * i_pink, rel=1e-9)
+
+    def test_direct_mode_has_no_psd(self):
+        with pytest.raises(ValueError, match="psd mode"):
+            cds_variance(NoiseSpec.direct(0.26))
+
+    def test_unconverged_quadrature_raises(self, device):
+        # at a 1000 s CDS separation the cosine weight turns 1e8 times over the band
+        spec = NoiseSpec.psd(0.0, 1e-14, delta_t_cds=1000.0)
+        with pytest.raises(QuadratureError):
+            cds_variance(spec)
+        with pytest.raises(QuadratureError):
+            cds_sigma(spec, device)
 
 
 def read_noise_draws(device, sigma_e, seed, n):

@@ -26,3 +26,45 @@ def test_solve_noise_defaults_reproduces_the_bundled_psd_levels():
         assert solved[key] == noise[key], key
     assert solved["check_dark_sigma_e"] == pytest.approx(0.26, rel=1e-12)
     assert solved["check_asd_below_500nv"] is True
+
+
+def run_solver(*args):
+    return subprocess.run(
+        [sys.executable, SCRIPTS / "solve_noise_defaults.py", *map(str, args)],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_solve_noise_defaults_reads_the_device_from_the_config(tmp_path):
+    raw = json.loads(default_config_path().read_text())
+    raw["detector"]["c_input_pf"] = 0.06
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    res = run_solver("--config", cfg)
+    assert res.returncode == 0, res.stderr
+    solved = json.loads(res.stdout)
+    noise = json.loads(default_config_path().read_text())["noise"]
+    for key in ("s_white_v2hz", "a_pink_v2"):
+        assert solved[key] != noise[key], key
+    assert solved["check_dark_sigma_e"] == pytest.approx(0.26, rel=1e-12)
+
+
+def test_solve_noise_defaults_refuses_direct_noise(tmp_path):
+    raw = json.loads(default_config_path().read_text())
+    raw["noise"] = {"mode": "direct", "sigma_e": 0.3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    res = run_solver("--config", cfg)
+    assert res.returncode != 0
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "noise.mode" in res.stderr
+
+
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5"])
+def test_solve_noise_defaults_refuses_a_pink_fraction_outside_0_1(fraction):
+    res = run_solver("--pink-fraction", fraction)
+    assert res.returncode != 0
+    assert "Traceback" not in res.stderr and "--pink-fraction" in res.stderr
