@@ -63,6 +63,13 @@ class DetectorParams:
             raise ValueError(
                 f"reset_threshold must be > 0, got {self.reset_threshold}"
             )
+        # every conversion to electrons divides by this step, which a tiny
+        # g_m can underflow to 0
+        if not volts_per_carrier(self) > 0:
+            raise ValueError(
+                f"g_m * q_e / c_input must be > 0, got 0 "
+                f"(g_m {self.g_m}, c_input {self.c_input})"
+            )
 
 
 def volts_per_carrier(params: DetectorParams) -> float:

@@ -12,14 +12,19 @@ electron grid (gain calibration happens upstream, so the x axis is already
 in electrons) and the weights are tied through the single Poisson mean.
 Fitting is expectation-maximization on the component responsibilities, which
 has closed-form updates for both parameters and monotone log-likelihood.
-Every function that sums over the components takes ``l_max=None`` for the
-cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson mean ``n`` (``_cutoff``).
+EM converges linearly, at the rate of the fraction of missing information,
+which approaches 1 as the peaks overlap, so ``fit_mixture`` accelerates it
+with SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35:335), a quadratic
+extrapolation built from two EM maps and kept monotone by backtracking to
+the plain EM step. Every function that sums over the components takes
+``l_max=None`` for the cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson
+mean ``n`` (``_cutoff``).
 
 The E-step (and ``mixture_density``) runs over events in chunks of
 ``_EVENT_CHUNK`` through one workspace (:class:`_Workspace`): a residual
 buffer ``d``, a log-term buffer that is turned in place into exponentials
 and then responsibilities, and a bool mask. ``fit_mixture`` allocates it
-once and every EM iteration reuses it, so a step allocates no float array
+once and every pass reuses it, so a pass allocates no float array
 of the chunk's size. The exponentials are split by the range of their result. On an
 AVX-512 x86 core numpy's vector ``exp`` costs about 1 ns for a normal
 result, about 150 ns for a subnormal one and about 20 ns for one that
@@ -35,6 +40,7 @@ same bit for bit as with one ``exp`` over freshly allocated arrays.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,10 +67,13 @@ _LOG_DBL_MIN = float(np.log(np.finfo(float).tiny))
 #: subnormal is exp(-745.13), so the margin keeps every nonzero result above.
 _LOG_EXP_ZERO = -746.0
 
-#: EM stops once the log-likelihood changes by less than this, or after
-#: ``_EM_ITERATIONS`` passes.
+#: The fit stops once two accepted points differ in log-likelihood by less
+#: than this, or after ``_EM_ITERATIONS`` passes.
 _EM_TOL = 1e-8
 _EM_ITERATIONS = 500
+#: A SQUAREM step length above this is taken as -1, the plain EM step.
+#: Backtracking halves ``alpha + 1``, so it gets here from any finite start.
+_SQUAREM_EM_ALPHA = -1.01
 
 #: Histogram peaks are at least this many electrons apart and stand out by
 #: this fraction of the tallest bin.
@@ -321,14 +330,27 @@ def _em_pass(events, n, sigma, l_max, ws=None):
 
 
 def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
-    """Maximum-likelihood fit of ``(n, sigma)`` by EM.
+    """Maximum-likelihood fit of ``(n, sigma)`` by EM accelerated with SQUAREM.
 
     The E-step distributes each event over the integer components; the
     M-step re-estimates the Poisson mean from the responsibility-weighted
     component indices and the width from the responsibility-weighted squared
-    residuals. Iterates until the log-likelihood changes by less than
-    ``_EM_TOL`` (1e-8), or for at most ``_EM_ITERATIONS`` (500) passes
-    (``converged=False``, best-so-far values).
+    residuals (clamped at ``_N_FLOOR`` and ``SIGMA_FLOOR``). One pass runs
+    the E-step at a point and gives its log-likelihood and its EM image.
+
+    Each SQUAREM cycle starts from an accepted point t0, whose pass gave
+    ll0 and its image t1. A pass at t1 gives ll1 and t2. With r = t1 - t0,
+    v = t2 - t1 - r and the step length a = min(-|r|/|v|, -1), the cycle
+    proposes t0 - 2 a r + a^2 v and runs a pass there. The proposal is
+    accepted if n >= ``_N_FLOOR``, sigma >= ``SIGMA_FLOOR`` and its
+    log-likelihood is at least ll1; otherwise a becomes (a - 1)/2 and the
+    cycle proposes again. Once a is above ``_SQUAREM_EM_ALPHA`` (-1.01) the
+    cycle takes t2, the plain EM step (a = -1), whose log-likelihood is
+    checked like ll1. The fit stops when two consecutive accepted points
+    differ in log-likelihood by less than ``_EM_TOL`` (1e-8).
+    ``n_iterations`` counts every pass, rejected proposals included, and at
+    most ``_EM_ITERATIONS`` (500) are run; a fit that reaches the cap
+    returns the last accepted point with ``converged=False``.
 
     ``l_max`` is the Poisson cutoff; by default it is
     ``max(20, ceil(2 * sample mean) + 2)``, well above the data.
@@ -345,7 +367,8 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         reach ``_MAX_WORKSPACE_BYTES``; or a sample mean above ``l_max / 2``,
         where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
-        The log-likelihood decreased between iterations (a broken update).
+        An EM map lowered the log-likelihood, ll1 < ll0 - 1e-8 (1 + |ll0|)
+        for a point and its EM image, which a correct update cannot do.
     """
     events = np.asarray(events, dtype=float)
     if events.size < 50:
@@ -363,35 +386,57 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
             f"sample mean {sample_mean:.3g} exceeds l_max/2 = {l_max / 2}; "
             "increase l_max to avoid truncation bias"
         )
-    n = max(sample_mean, 0.05)
-    sigma = 0.3
+    passes = 0
 
-    ll_prev = -np.inf
-    ll = -np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, _EM_ITERATIONS + 1):
-        ll, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max, ws)
-        if ll < ll_prev - 1e-8 * (1.0 + abs(ll_prev)):
+    def em_map(theta):
+        """One E-step at ``theta``: its log-likelihood and its EM image."""
+        nonlocal passes
+        passes += 1
+        ll, sum_rl, sum_rsq = _em_pass(events, theta[0], theta[1], l_max, ws)
+        image = (max(sum_rl / events.size, _N_FLOOR),
+                 max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR))
+        return ll, np.array(image)
+
+    def check_increase(ll_from, ll_to):
+        if ll_to < ll_from - 1e-8 * (1.0 + abs(ll_from)):
             raise ConvergenceError(
-                f"EM log-likelihood decreased ({ll_prev} -> {ll}); "
+                f"EM log-likelihood decreased ({ll_from} -> {ll_to}); "
                 "this indicates a broken update"
             )
-        if abs(ll - ll_prev) < _EM_TOL:
-            converged = True
-            break
-        ll_prev = ll
-        n = max(sum_rl / events.size, _N_FLOOR)
-        sigma = max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR)
+
+    # theta is the last accepted point, ll its log-likelihood, image its EM image
+    theta = np.array([max(sample_mean, 0.05), 0.3])
+    ll, image = em_map(theta)
+    converged = False
+    while not converged and passes < _EM_ITERATIONS:
+        ll_image, image2 = em_map(image)
+        check_increase(ll, ll_image)
+        r = image - theta
+        v = image2 - image - r
+        norm_v = math.hypot(*v)
+        alpha = min(-math.hypot(*r) / norm_v, -1.0) if norm_v > 0 else -1.0
+        while passes < _EM_ITERATIONS:
+            em_step = alpha > _SQUAREM_EM_ALPHA
+            proposal = image2 if em_step else theta - 2.0 * alpha * r + alpha**2 * v
+            if em_step or (proposal[0] >= _N_FLOOR and proposal[1] >= SIGMA_FLOOR):
+                ll_new, image_new = em_map(proposal)
+                if em_step:
+                    check_increase(ll_image, ll_new)
+                if em_step or ll_new >= ll_image:
+                    converged = abs(ll_new - ll) < _EM_TOL
+                    theta, ll, image = proposal, ll_new, image_new
+                    break
+            alpha = (alpha - 1.0) / 2.0
     del ws  # the gradient passes of _stderr_n allocate their own
 
+    n, sigma = float(theta[0]), float(theta[1])
     stderr_n = _stderr_n(events, n, sigma, l_max)
     return MixtureFit(
         n_hat=n,
         sigma_hat=sigma,
         l_max=l_max,
         log_likelihood=ll,
-        n_iterations=iterations,
+        n_iterations=passes,
         converged=converged,
         stderr_n=stderr_n,
     )

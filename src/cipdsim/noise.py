@@ -137,7 +137,8 @@ def cds_variance(spec: NoiseSpec) -> tuple[float, float]:
     QuadratureError
         If the quadrature cannot deliver the variance to a relative 1e-6
         (relative to the pre-CDS band power when CDS cancellation makes the
-        variance itself vanish, as for delta_t_cds -> 0).
+        variance itself vanish, as for delta_t_cds -> 0), or if ``f_min`` is
+        so close to 0 that a quadrature node rounds to f = 0.
     """
     if spec.mode != "psd":
         raise ValueError("cds_variance requires a NoiseSpec in psd mode")
@@ -168,6 +169,12 @@ def cds_variance(spec: NoiseSpec) -> tuple[float, float]:
             )
         except IntegrationWarning as exc:
             raise QuadratureError(f"CDS variance quadrature failed: {exc}") from exc
+        except ZeroDivisionError as exc:
+            # a node next to a tiny f_min can round to f = 0
+            raise QuadratureError(
+                f"CDS variance quadrature evaluated the PSD at f = 0: f_min_hz "
+                f"{spec.f_min} is too close to 0 for its nodes"
+            ) from exc
     variance = 2.0 * (i_smooth - i_cos)
     err_total = 2.0 * (err_smooth + err_cos)
     scale = max(abs(variance), 1e-2 * 2.0 * abs(i_smooth))

@@ -316,6 +316,18 @@ class TestSnr:
         message = single_json_error(res)["message"]
         assert "--sigma-from-psd" in message and "direct" in message
 
+    def test_f_min_next_to_zero_exit_2(self, tmp_path):
+        # a quadrature node next to f_min = 1e-200 rounds to f = 0
+        raw = json.loads(default_config_path().read_text())
+        raw["noise"].update(f_min_hz=1e-200, a_pink_v2=0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        res = run_cli("snr", "--sigma-from-psd", "--config", cfg)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        message = single_json_error(res)["message"]
+        assert "f_min_hz" in message and "1e-200" in message
+
     def test_direct_noise_without_flag_uses_configured_sigma(self, tmp_path):
         res = run_cli("snr", "--config", write_direct_config(tmp_path / "cfg.json"))
         assert res.returncode == 0, res.stderr

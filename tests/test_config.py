@@ -181,8 +181,12 @@ def test_load_config_bad_json(tmp_path):
         load_config(p)
 
 
+#: 0 and finite numbers at the ends of the float range: subnormals and +-1e+-300
+_EXTREME_VALUES = [0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300]
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(_EXTREME_VALUES)
+    | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8,
@@ -232,3 +236,50 @@ def test_cli_answers_an_arbitrary_json_section(tmp_path_factory, section, value)
         assert json.loads(lines[0]) == {"code": 1, "message": str(exc)}
     else:
         assert code == 0 and err.getvalue() == ""
+
+
+#: the bundled config and the same with direct noise, so that every numeric
+#: key of the schema appears in one of them
+_BASES = {"psd": _DEFAULT,
+          "direct": {**_DEFAULT, "noise": {"mode": "direct", "sigma_e": 0.26}}}
+
+
+def _numeric_keys(base):
+    return [(section, key) for section, obj in base.items()
+            for key, value in obj.items() if isinstance(value, (int, float))]
+
+
+def assert_cli_answers(tmp_path, base, values):
+    """``snr`` answers, or exits 1 or 2 with one JSON line; no exception escapes."""
+    raw = json.loads(json.dumps(base))
+    for (section, key), value in values.items():
+        raw[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["snr", "--config", str(path)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2) and len(lines) == 1, (code, lines)
+        assert json.loads(lines[0])["code"] == code
+
+
+@pytest.mark.parametrize("mode", sorted(_BASES))
+def test_cli_answers_an_extreme_number(tmp_path, mode):
+    """Each numeric key set to 0 and to each end of the float range in turn."""
+    for target in _numeric_keys(_BASES[mode]):
+        for value in _EXTREME_VALUES:
+            assert_cli_answers(tmp_path, _BASES[mode], {target: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(sorted(_BASES)), data=st.data())
+def test_cli_answers_extreme_numbers(tmp_path_factory, mode, data):
+    """Two or three numeric keys set to 0 or to the ends of the float range."""
+    values = data.draw(st.dictionaries(st.sampled_from(_numeric_keys(_BASES[mode])),
+                                       st.sampled_from(_EXTREME_VALUES),
+                                       min_size=2, max_size=3))
+    assert_cli_answers(tmp_path_factory.mktemp("cfg"), _BASES[mode], values)

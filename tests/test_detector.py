@@ -113,6 +113,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             make_params(**{field: value})
 
+    def test_volt_step_must_not_underflow(self):
+        # g_m * q_e underflows to 0, and every conversion divides by the step
+        with pytest.raises(ValueError, match="g_m 5e-324"):
+            make_params(g_m=5e-324)
+
     def test_elementary_charge_is_fixed(self):
         assert DetectorParams.q_e == 1.602176634e-19
         with pytest.raises(TypeError):

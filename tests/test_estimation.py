@@ -326,6 +326,80 @@ class TestFitMixture:
         assert large.stderr_n == pytest.approx(small.stderr_n / 4, rel=0.35)
 
 
+def plain_em(events, l_max):
+    """The EM loop of acceptance criterion 6, run to the fit's pass cap.
+
+    Returns the last log-likelihood and whether it changed by less than
+    1e-8 before the cap.
+    """
+    n, sig = max(float(np.mean(events)), 0.05), 0.3
+    prev = -np.inf
+    for _ in range(estimation._EM_ITERATIONS):
+        ll, s_rl, s_rsq = _em_pass(events, n, sig, l_max)
+        if abs(ll - prev) < 1e-8:
+            return ll, True
+        prev = ll
+        n = max(s_rl / events.size, 1e-9)
+        sig = max(math.sqrt(s_rsq / events.size), 0.01)
+    return ll, False
+
+
+GRID_SIGMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+GRID_MEANS = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+class TestSquarem:
+    """The accelerated fit: few passes where EM crawls, never a worse optimum."""
+
+    # at these seeds plain EM runs into its 500-pass cap at sigma 0.5 and 0.6
+    # with n = 10, and in the 2e4-event cell
+    @pytest.mark.parametrize("i", range(len(GRID_SIGMAS)))
+    def test_grid_row_converges_in_under_100_passes(self, i):
+        for j, n in enumerate(GRID_MEANS):
+            fit = fit_mixture(draw_mixture_events(n, GRID_SIGMAS[i], 700, seed=10 * i + j))
+            assert fit.converged, (GRID_SIGMAS[i], n)
+            assert fit.n_iterations < 100, (GRID_SIGMAS[i], n, fit.n_iterations)
+
+    def test_slow_em_cell_converges_in_under_100_passes(self):
+        fit = fit_mixture(draw_mixture_events(5.1, 0.5, 20000, seed=0))
+        assert fit.converged
+        assert fit.n_iterations < 100
+
+    @pytest.mark.parametrize("sigma", [0.26, 0.4])
+    @pytest.mark.parametrize("n", [1.07, 2.85, 10.18])
+    def test_likelihood_at_least_plain_em(self, n, sigma):
+        events = draw_mixture_events(n, sigma, 5000, seed=int(100 * n + 10 * sigma))
+        l_max = 30 if np.mean(events) > 10 else 20
+        fit = fit_mixture(events, l_max=l_max)
+        em_ll, em_converged = plain_em(events, l_max)
+        assert fit.converged and em_converged
+        assert fit.log_likelihood >= em_ll - 1e-8 * (1.0 + abs(em_ll))
+
+    def test_iterations_count_every_pass(self, monkeypatch):
+        calls = []
+
+        def counting_pass(*args, **kwargs):
+            calls.append(args[1:3])
+            return _em_pass(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_em_pass", counting_pass)
+        fit = fit_mixture(draw_mixture_events(2.0, 0.5, 700, seed=42))
+        # the standard error adds four gradient passes
+        assert len(calls) == fit.n_iterations + 4
+        # and the fit runs no pass twice at one point
+        assert len(set(calls[: fit.n_iterations])) == fit.n_iterations
+
+    def test_cap_returns_the_last_accepted_point(self, monkeypatch):
+        events = draw_mixture_events(5.0, 0.5, 700, seed=42)
+        full = fit_mixture(events)
+        monkeypatch.setattr(estimation, "_EM_ITERATIONS", 6)
+        capped = fit_mixture(events)
+        assert not capped.converged
+        assert capped.n_iterations == 6
+        assert capped.log_likelihood == log_likelihood(events, capped.n_hat, capped.sigma_hat)
+        assert capped.log_likelihood < full.log_likelihood
+
+
 #: Every estimator entry point that runs the likelihood kernel, called on
 #: ``events`` with the cutoff ``l_max``.
 KERNEL_ENTRY_POINTS = {

@@ -3,6 +3,11 @@
 The digests and fit values were recorded from the reference implementation.
 Any refactor of the simulator, the CLI writers or the estimator must keep
 the simulation bytes identical and the fit within the stated tolerances.
+
+The fit pins were re-recorded when the plain EM loop became SQUAREM. The
+plain-EM optimum each one held before is kept in ``PLAIN_EM`` and checked
+too: the pinned fit reaches at least its log-likelihood, moves n and sigma by
+less than a thousandth of the standard error and keeps the standard error.
 """
 
 import hashlib
@@ -39,9 +44,25 @@ DARK_PINS = {
 SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
 
 FIT_PINS = {
-    "fitted_curve.csv": "b8caf4cce899d4f2787aab53700a27c42ad095cba50e95e450d6a3e3b718e023",
-    "histogram.csv": "4ed1723a5a30b2cbdc13ebc52af1ed23ea9d140dd8eeeb07d69a73a47dc33919",
+    "fitted_curve.csv": "d44b090e320f93f1094df4d7af19ffaa6aa2d27ea453ab8b9162d273ec1df2ca",
+    "histogram.csv": "9f4b004c5bfc71efefe495c5ea05d9c323f53b951e9a998be5e132dafc60a4f5",
 }
+
+#: (n_hat, sigma_hat, log_likelihood, stderr_n) of the plain-EM fits
+PLAIN_EM = {
+    "fit command": (1.078962572819087, 0.25325014848557176,
+                    -25814.531473540716, 0.007444198696625594),
+    "fit values": (2.5690625304150094, 0.32563206024108954,
+                   -37032.25994279288, 0.011526468491260246),
+}
+
+
+def assert_agrees_with_plain_em(name, n_hat, sigma_hat, log_likelihood, stderr_n):
+    old_n, old_sigma, old_ll, old_stderr = PLAIN_EM[name]
+    assert log_likelihood >= old_ll
+    assert abs(n_hat - old_n) < 1e-3 * stderr_n
+    assert abs(sigma_hat - old_sigma) < 1e-3 * stderr_n
+    assert stderr_n == pytest.approx(old_stderr, rel=1e-6, abs=0)
 
 
 def run_cli(*args):
@@ -83,12 +104,14 @@ def test_fit_command_output_pinned(tmp_path):
     assert {name: got[name] for name in FIT_PINS} == FIT_PINS
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
     assert fit["converged"] is True
-    assert fit["iterations"] == 13
-    assert fit["n_hat"] == 1.078962572819087
-    assert fit["sigma_hat"] == 0.25325014848557176
-    assert fit["log_likelihood"] == -25814.531473540716
-    assert fit["stderr_n"] == pytest.approx(0.007444198696625594, rel=1e-9, abs=0)
+    assert fit["iterations"] == 11
+    assert fit["n_hat"] == 1.0789625805853982
+    assert fit["sigma_hat"] == 0.25325011436111844
+    assert fit["log_likelihood"] == -25814.53147354046
+    assert fit["stderr_n"] == pytest.approx(0.007444198705801643, rel=1e-9, abs=0)
     assert fit["dof"] == 62
+    assert_agrees_with_plain_em("fit command", fit["n_hat"], fit["sigma_hat"],
+                                fit["log_likelihood"], fit["stderr_n"])
 
 
 def test_fit_values_pinned():
@@ -100,8 +123,10 @@ def test_fit_values_pinned():
     assert events.size == 20000
     fit = fit_mixture(events)
     assert fit.converged
-    assert fit.n_iterations == 30
-    assert fit.n_hat == 2.5690625304150094
-    assert fit.sigma_hat == 0.32563206024108954
-    assert fit.log_likelihood == -37032.25994279288
-    assert fit.stderr_n == pytest.approx(0.011526468491260246, rel=1e-9, abs=0)
+    assert fit.n_iterations == 13
+    assert fit.n_hat == 2.569062518831494
+    assert fit.sigma_hat == 0.3256323390188913
+    assert fit.log_likelihood == -37032.259942788194
+    assert fit.stderr_n == pytest.approx(0.011526468844714099, rel=1e-9, abs=0)
+    assert_agrees_with_plain_em("fit values", fit.n_hat, fit.sigma_hat,
+                                fit.log_likelihood, fit.stderr_n)
