@@ -8,11 +8,11 @@ fit        fit the photon-number mixture to an events file
 snr        one-line JSON with the conversion gain, noise and S/N
 sweep      grid-sweep one or two config keys, tabulating noise and error
 
-Exit codes: 0 success, 1 invalid input, 2 non-convergence, 3 I/O failure.
-Errors print a single-line JSON object ``{"code", "message"}`` to stderr.
-All outputs are byte-reproducible for a fixed seed (``fit`` also needs a
-fixed BLAS thread count); the only timestamp lives in summary.json and is
-suppressed by ``--no-timestamp``.
+Exit codes: 0 success, 1 invalid input, 2 non-convergence or a degenerate
+fit, 3 I/O failure. Errors print a single-line JSON object
+``{"code", "message"}`` to stderr. All outputs are byte-reproducible for a
+fixed seed, whatever the BLAS thread count; the only timestamp lives in
+summary.json and is suppressed by ``--no-timestamp``.
 """
 
 from __future__ import annotations
@@ -300,6 +300,9 @@ def _cmd_fit(args) -> int:
         for c, k, e in zip(hist.bin_centers, hist.counts, expected)
     ]
     _write_text(out_dir / "histogram.csv", "\n".join(hist_lines) + "\n")
+    if not math.isfinite(fit.stderr_n):
+        return _fail(2, f"degenerate fit: stderr_n is {fit.stderr_n} at n_hat "
+                        f"{fit.n_hat!r}, sigma_hat {fit.sigma_hat!r}")
     return 0 if fit.converged else 2
 
 

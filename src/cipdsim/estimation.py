@@ -35,7 +35,9 @@ after it. Those in the subnormal range go through ``np.exp`` as one
 compressed array and are scattered back; those below it stay exactly 0.0,
 which is what ``np.exp`` returns there. Every element still comes from
 ``np.exp`` and every reduction keeps its layout and order, so the fit is the
-same bit for bit as with one ``exp`` over freshly allocated arrays.
+same bit for bit as with one ``exp`` over freshly allocated arrays. No sum
+over the components goes through BLAS, whose rounding can change with its
+thread count, so the fit gives the same bytes for any thread count.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ def _em_pass(events, n, sigma, l_max, ws=None):
             np.divide(r, s[:, None], out=r)
         r[s == 0.0] = 0.0
         ll += float(np.sum(lse + log_norm))
-        sum_rl += float(np.sum(r @ ws.ls))
+        sum_rl += float(np.sum(np.sum(r, axis=0) * ws.ls))
         # (r * d) * d, not r * d**2: the sum must see the same roundings
         np.multiply(r, d, out=r)
         np.multiply(r, d, out=r)
@@ -347,7 +349,9 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     cycle proposes again. Once a is above ``_SQUAREM_EM_ALPHA`` (-1.01) the
     cycle takes t2, the plain EM step (a = -1), whose log-likelihood is
     checked like ll1. The fit stops when two consecutive accepted points
-    differ in log-likelihood by less than ``_EM_TOL`` (1e-8).
+    differ in log-likelihood by less than ``_EM_TOL`` (1e-8); a cycle whose
+    first EM image t1 is already that close to t0 accepts t1 and stops
+    without a proposal.
     ``n_iterations`` counts every pass, rejected proposals included, and at
     most ``_EM_ITERATIONS`` (500) are run; a fit that reaches the cap
     returns the last accepted point with ``converged=False``.
@@ -411,6 +415,9 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     while not converged and passes < _EM_ITERATIONS:
         ll_image, image2 = em_map(image)
         check_increase(ll, ll_image)
+        if abs(ll_image - ll) < _EM_TOL:
+            theta, ll, converged = image, ll_image, True
+            break
         r = image - theta
         v = image2 - image - r
         norm_v = math.hypot(*v)
@@ -552,33 +559,22 @@ def expected_bin_counts(
 ) -> np.ndarray:
     """Model-predicted counts per histogram bin (total times the bin mass).
 
-    The mixture CDF at the bin edges is an edges-by-components matrix times
-    the Poisson weights. It is built in row chunks of fewer than
-    ``_MAX_WORKSPACE_BYTES``, so memory stays bounded whatever the bin count;
-    an ``l_max`` whose single row reaches that limit raises ``ValueError``.
+    The mixture CDF at the bin edges is summed into one buffer the length of
+    the edges, component by component in ``l`` order, skipping components
+    whose weight underflows to 0 (they would add exactly 0).
     """
     l_max = _cutoff(n) if l_max is None else l_max
-    row_bytes = (l_max + 1) * 8
-    rows = (_MAX_WORKSPACE_BYTES - 1) // row_bytes
-    if rows < 1:
-        raise ValueError(
-            f"l_max {l_max} needs {row_bytes} bytes per histogram edge; "
-            f"the limit is {_MAX_WORKSPACE_BYTES}"
-        )
-    # BLAS matrix-vector kernels take rows in small groups and round a
-    # leftover row differently, so chunks start on multiples of 64 rows to
-    # keep each row's value the same as in one product over all the rows
-    if rows >= 64:
-        rows -= rows % 64
     edges = hist.bin_edges
-    ls = np.arange(l_max + 1.0)
     weights = np.exp(_log_poisson_weights(n, l_max))
-    cdf_at_edges = np.empty(edges.size)
-    for lo in range(0, edges.size, rows):
-        cells = np.subtract(edges[lo : lo + rows, None], ls)
-        np.divide(cells, sigma, out=cells)
-        special.ndtr(cells, out=cells)
-        cdf_at_edges[lo : lo + rows] = cells @ weights
+    cdf_at_edges = np.zeros(edges.size)
+    term = np.empty(edges.size)
+    nonzero = np.flatnonzero(weights)
+    for l, w in zip(nonzero.tolist(), weights[nonzero].tolist()):
+        np.subtract(edges, l, out=term)
+        np.divide(term, sigma, out=term)
+        special.ndtr(term, out=term)
+        np.multiply(term, w, out=term)
+        np.add(cdf_at_edges, term, out=cdf_at_edges)
     return hist.total * np.diff(cdf_at_edges)
 
 

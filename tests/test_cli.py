@@ -259,6 +259,20 @@ class TestFit:
         assert str(path) in single_json_error(res)["message"]
         assert not (tmp_path / "f").exists()
 
+    def test_degenerate_fit_exit_2(self, tmp_path, capsys):
+        # events far below zero: n_hat sits at its floor and stderr_n is NaN
+        events = np.random.default_rng(0).normal(-50.0, 0.3, 500)
+        path = tmp_path / "ev.txt"
+        path.write_text("".join(f"{e!r}\n" for e in events.tolist()))
+        code, message = main_error(capsys, "fit", path, "--out", tmp_path / "f")
+        assert code == 2
+        assert "stderr_n" in message
+        fit = json.loads((tmp_path / "f" / "fit.json").read_text())
+        assert fit["converged"] is True
+        assert fit["stderr_n"] is None
+        assert (tmp_path / "f" / "fitted_curve.csv").exists()
+        assert (tmp_path / "f" / "histogram.csv").exists()
+
     def test_missing_file_exit_3(self, tmp_path):
         res = run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "f")
         assert res.returncode == 3

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -201,7 +204,7 @@ def reference_em_pass(events, n, sigma, l_max):
     ll = sum_rl = sum_rsq = 0.0
     for d, lse, r in _reference_chunks(events, n, sigma, l_max):
         ll += float(np.sum(lse + log_norm))
-        sum_rl += float(np.sum(r @ ls))
+        sum_rl += float(np.sum(np.sum(r, axis=0) * ls))
         sum_rsq += float(np.sum(r * d * d))
     return ll, sum_rl, sum_rsq
 
@@ -352,13 +355,15 @@ class TestSquarem:
     """The accelerated fit: few passes where EM crawls, never a worse optimum."""
 
     # at these seeds plain EM runs into its 500-pass cap at sigma 0.5 and 0.6
-    # with n = 10, and in the 2e4-event cell
+    # with n = 10, and in the 2e4-event cell; at sigma 0.1 it takes 4-5 passes,
+    # and a cycle whose first EM image has converged stops there, at 6
     @pytest.mark.parametrize("i", range(len(GRID_SIGMAS)))
     def test_grid_row_converges_in_under_100_passes(self, i):
+        bound = 6 if GRID_SIGMAS[i] == 0.1 else 99
         for j, n in enumerate(GRID_MEANS):
             fit = fit_mixture(draw_mixture_events(n, GRID_SIGMAS[i], 700, seed=10 * i + j))
             assert fit.converged, (GRID_SIGMAS[i], n)
-            assert fit.n_iterations < 100, (GRID_SIGMAS[i], n, fit.n_iterations)
+            assert fit.n_iterations <= bound, (GRID_SIGMAS[i], n, fit.n_iterations)
 
     def test_slow_em_cell_converges_in_under_100_passes(self):
         fit = fit_mixture(draw_mixture_events(5.1, 0.5, 20000, seed=0))
@@ -620,35 +625,23 @@ class TestGoodnessOfFit:
         expected = expected_bin_counts(hist, 2.55, 0.3)
         assert abs(expected.sum() - hist.total) / hist.total < 0.001
 
-    # under 9216 cells, where OpenBLAS runs the product on one thread
-    @pytest.mark.parametrize("n_edges, l_max", [(400, 20), (290, 30)])
-    @pytest.mark.parametrize("rows", [64, 70, 99, 128])
-    def test_expected_counts_in_chunks_bit_identical(self, monkeypatch, n_edges,
-                                                      l_max, rows):
-        hist = build_histogram(np.arange(n_edges - 1) * 0.1 - 1.0, 0.1)
-        assert hist.bin_edges.size == n_edges and n_edges * (l_max + 1) < 9216
-        one_shot = expected_bin_counts(hist, 2.55, 0.3, l_max)
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", rows * (l_max + 1) * 8 + 1)
-        chunked = expected_bin_counts(hist, 2.55, 0.3, l_max)
-        assert np.array_equal(chunked, one_shot)
-
-    def test_expected_counts_memory_bounded(self, monkeypatch):
+    def test_expected_counts_memory_bounded(self):
+        # 2002 edges by 1001 components: a dense CDF matrix would take 16 MB
         hist = build_histogram(np.arange(2001) * 0.1, 0.1)
-        one_shot = expected_bin_counts(hist, 2.55, 0.3, 1000)
-        matrix_bytes = hist.bin_edges.size * 1001 * 8  # 16 MB
-        limit = 1 << 16
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        edges = hist.bin_edges
         tracemalloc.start()
         try:
-            chunked = expected_bin_counts(hist, 2.55, 0.3, 1000)
+            got = expected_bin_counts(hist, 2.55, 0.3, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # numpy's broadcasting buffers add a fixed 100-200 kB to each chunk
-        assert peak < matrix_bytes / 16
-        assert chunked == pytest.approx(one_shot, rel=1e-12, abs=1e-300)
-        with pytest.raises(ValueError, match="^l_max 8191 needs 65536 bytes"):
-            expected_bin_counts(hist, 2.55, 0.3, (limit >> 3) - 1)
+        # the edges, the CDF and term buffers, the weights and the result
+        assert peak < 8 * edges.nbytes
+        ls = np.arange(1001)
+        cdf = special.ndtr((edges[:, None] - ls) / 0.3) @ stats.poisson.pmf(ls, 2.55)
+        want = hist.total * np.diff(cdf)
+        bright = want > 1e-3 * want.max()
+        assert got[bright] == pytest.approx(want[bright], rel=1e-9, abs=0)
 
     def test_wrong_sigma_is_rejected(self):
         events = draw_mixture_events(2.55, 0.3, 10**4, seed=12)
@@ -678,6 +671,34 @@ class TestGoodnessOfFit:
         )
         with pytest.raises(ValueError, match="merged bins"):
             goodness_of_fit(hist, fit)
+
+
+#: Fits a bright case (n = 100, so l_max = 202 over about 8000 bins of
+#: 0.01 e) and prints the bytes of its results
+BRIGHT_FIT_BYTES = """
+import hashlib
+import numpy as np
+from cipdsim import build_histogram, expected_bin_counts, fit_mixture
+rng = np.random.default_rng(0)
+events = rng.poisson(100, 4000) + rng.normal(0.0, 0.33, 4000)
+fit = fit_mixture(events)
+counts = expected_bin_counts(build_histogram(events, 0.01), fit.n_hat,
+                             fit.sigma_hat, fit.l_max)
+print(np.array([fit.n_hat, fit.sigma_hat, fit.log_likelihood]).tobytes().hex())
+print(hashlib.sha256(counts.tobytes()).hexdigest())
+"""
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads():
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", BRIGHT_FIT_BYTES], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        outputs[threads] = res.stdout
+    assert outputs["2"] == outputs["1"]
+    assert outputs["4"] == outputs["1"]
 
 
 class TestSigmaFromDark:

@@ -4,10 +4,12 @@ The digests and fit values were recorded from the reference implementation.
 Any refactor of the simulator, the CLI writers or the estimator must keep
 the simulation bytes identical and the fit within the stated tolerances.
 
-The fit pins were re-recorded when the plain EM loop became SQUAREM. The
-plain-EM optimum each one held before is kept in ``PLAIN_EM`` and checked
-too: the pinned fit reaches at least its log-likelihood, moves n and sigma by
-less than a thousandth of the standard error and keeps the standard error.
+The fit pins were re-recorded when the plain EM loop became SQUAREM, and
+again when the sums over the components became fixed-order numpy reductions
+and a SQUAREM cycle learned to stop at its first EM image. The plain-EM
+optimum each one held before is kept in ``PLAIN_EM`` and checked too: the
+pinned fit reaches at least its log-likelihood, moves n and sigma by less
+than a thousandth of the standard error and keeps the standard error.
 """
 
 import hashlib
@@ -44,8 +46,8 @@ DARK_PINS = {
 SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
 
 FIT_PINS = {
-    "fitted_curve.csv": "d44b090e320f93f1094df4d7af19ffaa6aa2d27ea453ab8b9162d273ec1df2ca",
-    "histogram.csv": "9f4b004c5bfc71efefe495c5ea05d9c323f53b951e9a998be5e132dafc60a4f5",
+    "fitted_curve.csv": "44f2cc2bf94f6a3d3a5eafa16eddaec08d9c2cee77a31239dbade4e26651ea26",
+    "histogram.csv": "eb2891fddfc69c4312c9e23bcdac299b60fd6ac15ec87d8b82c3587b2d78aa5f",
 }
 
 #: (n_hat, sigma_hat, log_likelihood, stderr_n) of the plain-EM fits
@@ -104,11 +106,11 @@ def test_fit_command_output_pinned(tmp_path):
     assert {name: got[name] for name in FIT_PINS} == FIT_PINS
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
     assert fit["converged"] is True
-    assert fit["iterations"] == 11
-    assert fit["n_hat"] == 1.0789625805853982
-    assert fit["sigma_hat"] == 0.25325011436111844
-    assert fit["log_likelihood"] == -25814.53147354046
-    assert fit["stderr_n"] == pytest.approx(0.007444198705801643, rel=1e-9, abs=0)
+    assert fit["iterations"] == 10
+    assert fit["n_hat"] == 1.0789625856445615
+    assert fit["sigma_hat"] == 0.25325008881137173
+    assert fit["log_likelihood"] == -25814.531473540606
+    assert fit["stderr_n"] == pytest.approx(0.007444198707317421, rel=1e-9, abs=0)
     assert fit["dof"] == 62
     assert_agrees_with_plain_em("fit command", fit["n_hat"], fit["sigma_hat"],
                                 fit["log_likelihood"], fit["stderr_n"])
@@ -123,10 +125,10 @@ def test_fit_values_pinned():
     assert events.size == 20000
     fit = fit_mixture(events)
     assert fit.converged
-    assert fit.n_iterations == 13
-    assert fit.n_hat == 2.569062518831494
-    assert fit.sigma_hat == 0.3256323390188913
-    assert fit.log_likelihood == -37032.259942788194
-    assert fit.stderr_n == pytest.approx(0.011526468844714099, rel=1e-9, abs=0)
+    assert fit.n_iterations == 12
+    assert fit.n_hat == 2.5690625188205587
+    assert fit.sigma_hat == 0.32563233901101335
+    assert fit.log_likelihood == -37032.2599427882
+    assert fit.stderr_n == pytest.approx(0.011526468844412871, rel=1e-9, abs=0)
     assert_agrees_with_plain_em("fit values", fit.n_hat, fit.sigma_hat,
                                 fit.log_likelihood, fit.stderr_n)
