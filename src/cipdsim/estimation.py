@@ -22,22 +22,23 @@ mean ``n`` (``_cutoff``).
 
 The E-step (and ``mixture_density``) runs over events in chunks of
 ``_EVENT_CHUNK`` through one workspace (:class:`_Workspace`): a residual
-buffer ``d``, a log-term buffer that is turned in place into exponentials
-and then responsibilities, and a bool mask. ``fit_mixture`` allocates it
-once and every pass reuses it, so a pass allocates no float array
-of the chunk's size. The exponentials are split by the range of their result. On an
-AVX-512 x86 core numpy's vector ``exp`` costs about 1 ns for a normal
-result, about 150 ns for a subnormal one and about 20 ns for one that
-underflows to zero, and about a quarter of the cells of a typical fit lie
-below the normal range. So cells whose log-term is below ``log(DBL_MIN)``
-are zeroed before one ``np.exp`` over the whole buffer and zeroed again
-after it. Those in the subnormal range go through ``np.exp`` as one
-compressed array and are scattered back; those below it stay exactly 0.0,
-which is what ``np.exp`` returns there. Every element still comes from
-``np.exp`` and every reduction keeps its layout and order, so the fit is the
-same bit for bit as with one ``exp`` over freshly allocated arrays. No sum
-over the components goes through BLAS, whose rounding can change with its
-thread count, so the fit gives the same bytes for any thread count.
+buffer ``d`` and a log-term buffer that is turned in place into exponentials
+and then responsibilities. ``fit_mixture`` allocates it once and every pass
+reuses it, so a pass allocates no float array of the chunk's size.
+
+Each event is evaluated only at the band of ``2B + 1`` components around
+its nearest integer that can reach its log-sum-exp (``_band_half_width``).
+``B`` grows with sigma and with the steepest step of the Poisson
+log-weights, and every component left out lies more than
+``37 + ln(l_max + 1)`` below the nearest kept one, so together they stay
+below half an ulp of the row sum. At the usual sigma of a third of an
+electron that is 7 of the 21 or 31 components. Where the band would cover
+every component the pass evaluates all of them, with the same arithmetic as
+a plain full sum. One ``np.exp`` covers the whole buffer: banded cells lie
+near their row maximum, so numpy's slow subnormal results, common in full
+rows of steep weights, are rare there. No sum over the components goes
+through BLAS, whose rounding can change with its thread count, so the fit
+gives the same bytes for any thread count.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 #: Lower clamp on the fitted sigma (electrons); prevents zero-variance
@@ -59,15 +61,10 @@ _N_FLOOR = 1e-9
 
 _EVENT_CHUNK = 1 << 16
 #: A workspace float buffer (``min(N, _EVENT_CHUNK)`` events by ``l_max + 1``
-#: float64 components; a workspace holds two) must stay below this many bytes.
+#: float64 components; a workspace holds two), and any other array of
+#: ``l_max + 1`` doubles, must stay below this many bytes.
 _MAX_WORKSPACE_BYTES = 1 << 28
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-#: exp(x) is a normal float for x >= _LOG_DBL_MIN and subnormal or zero below.
-_LOG_DBL_MIN = float(np.log(np.finfo(float).tiny))
-#: np.exp(x) is exactly 0.0 for x < _LOG_EXP_ZERO: half the smallest
-#: subnormal is exp(-745.13), so the margin keeps every nonzero result above.
-_LOG_EXP_ZERO = -746.0
 
 #: The fit stops once two accepted points differ in log-likelihood by less
 #: than this, or after ``_EM_ITERATIONS`` passes.
@@ -173,12 +170,21 @@ def _grid(events, bin_width: float):
 def _cutoff(mean: float) -> int:
     """The default Poisson cutoff ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
 
-    Refuses a non-finite mean and one whose ``l_max + 1`` doubles could
-    reach ``_MAX_WORKSPACE_BYTES``.
+    Refuses a non-finite mean and one whose cutoff :func:`_bounded_l_max` refuses.
     """
-    if not (np.isfinite(mean) and (2.0 * mean + 4.0) * 8 < _MAX_WORKSPACE_BYTES):
-        raise ValueError(f"mean {mean}: l_max would need {_MAX_WORKSPACE_BYTES}+ bytes")
-    return max(20, int(np.ceil(2.0 * mean)) + 2)
+    if not math.isfinite(2.0 * float(mean)):
+        raise ValueError(f"mean {mean} gives no finite l_max")
+    return _bounded_l_max(max(20, math.ceil(2.0 * float(mean)) + 2))
+
+
+def _bounded_l_max(l_max: int) -> int:
+    """``l_max``, refused unless its ``l_max + 1`` doubles stay below ``_MAX_WORKSPACE_BYTES``."""
+    if not (l_max + 1) * 8 < _MAX_WORKSPACE_BYTES:
+        raise ValueError(
+            f"l_max {l_max} needs {(l_max + 1) * 8} bytes per array of "
+            f"component weights; the limit is {_MAX_WORKSPACE_BYTES}"
+        )
+    return l_max
 
 
 def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
@@ -191,58 +197,105 @@ class _Workspace:
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
     float buffer would reach ``_MAX_WORKSPACE_BYTES``, so every likelihood
-    pass has bounded memory whatever the cutoff.
+    pass has bounded memory whatever the cutoff. A pass over a band of ``k``
+    components uses the first ``chunk * k`` cells of each buffer.
     """
 
     def __init__(self, n_events: int, l_max: int):
         if not l_max >= 1:
             raise ValueError(f"l_max must be >= 1, got {l_max}")
-        shape = (min(n_events, _EVENT_CHUNK), l_max + 1)
-        nbytes = shape[0] * shape[1] * 8
-        if nbytes >= _MAX_WORKSPACE_BYTES:
+        cells = min(n_events, _EVENT_CHUNK) * (l_max + 1)
+        if cells * 8 >= _MAX_WORKSPACE_BYTES:
             raise ValueError(
-                f"l_max {l_max} needs {nbytes} bytes per E-step buffer for "
+                f"l_max {l_max} needs {cells * 8} bytes per E-step buffer for "
                 f"{n_events} events; the limit is {_MAX_WORKSPACE_BYTES}"
             )
         self.ls = np.arange(l_max + 1.0)
-        self.d = np.empty(shape)  # residuals x - l
-        self.a = np.empty(shape)  # log-terms -> exponentials -> responsibilities
-        self.low = np.empty(shape, dtype=bool)
+        self.d = np.empty(cells)  # residuals x - l
+        self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
 
 
-def _chunk_softmax(x, log_w, sigma, ws):
+def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
+    """Half-width ``B`` of the component band, or None where it covers them all.
+
+    The band of an event at ``x`` is the ``2B + 1`` components from ``c - B``
+    to ``c + B``, ``c = clip(rint(x), B, l_max - B)``. ``B`` is the smallest
+    integer with ``B >= 2 sigma^2 g`` and ``(B + 1)(B / (2 sigma^2) - g) > T``,
+    where ``g = max(|ln n|, |ln(n / l_max)|)`` bounds the step
+    ``ln w_{l+1} - ln w_l = ln(n / (l + 1))`` of the log-weights and
+    ``T = 37 + ln(l_max + 1)``.
+
+    Why no dropped term reaches the row sum: let ``p`` be the kept component
+    nearest ``x`` and ``l`` a dropped one, say above the band (below is the
+    mirror image). Components exist above the band only if ``c < l_max - B``,
+    so ``c >= rint(x)`` and ``p <= c``, hence ``D = l - p >= B + 1``; and
+    ``p - x >= -1/2`` (``p`` is ``rint(x)``, or 0 above an ``x`` below -1/2).
+    Then ``(x - l)^2 - (x - p)^2 = D (D + 2 (p - x)) >= D (D - 1)`` and
+    ``ln w_l - ln w_p <= g D``, so the log-term of ``l`` lies below that of
+    ``p`` by at least ``D ((D - 1) / (2 sigma^2) - g)``, which for
+    ``D >= B + 1 >= 2 sigma^2 g + 1`` is at least ``(B + 1)(B / (2 sigma^2) - g)
+    > T``. The at most ``l_max + 1`` dropped terms together stay below
+    ``e^-37 < 2^-53`` of the kept row sum, half an ulp. This holds for
+    clipped centres and for events outside ``[0, l_max]`` alike.
+    """
+    two_var = 2.0 * sigma * sigma
+    if not (0.0 < n < np.inf and 0.0 < two_var < np.inf):
+        return None
+    g = max(abs(math.log(n)), abs(math.log(n) - math.log(l_max)))
+    if not 2.0 * two_var * g + 1.0 < l_max + 1:
+        return None
+    t = 37.0 + math.log(l_max + 1.0)
+    b = math.ceil(two_var * g)
+    while 2 * b + 1 < l_max + 1:
+        if (b + 1) * (b / two_var - g) > t:
+            return b
+        b += 1
+    return None
+
+
+def _chunk_softmax(x, log_w, sigma, ws, half_width):
     """Row-wise log-sum-exp over the components for one chunk ``x`` of events.
 
-    Fills ``ws`` in place and returns views ``(d, e)`` of its first
-    ``x.size`` rows, the residuals ``x - l`` and the shifted exponentials
+    Event ``i`` is evaluated at the ``k`` components ``lo_i`` to
+    ``lo_i + k - 1``: every component (``lo`` None, read as 0) when
+    ``half_width`` is None, else the band of :func:`_band_half_width`.
+    Fills ``ws`` in place and returns ``lo`` and views ``(d, e)`` of its first
+    ``x.size * k`` cells, the residuals ``x - l`` and the shifted exponentials
     ``exp(a - m)`` of the log-terms ``a`` (``m`` the row max, 0 where it is
     not finite), and the row vectors ``(lse, s)``, ``s`` the row sums of
     ``e``. Rows whose log-terms are all -inf get lse = -inf and s = 0.
     """
-    d, a, low = ws.d[: x.size], ws.a[: x.size], ws.low[: x.size]
-    np.subtract(x[:, None], ws.ls, out=d)
+    if half_width is None:
+        lo, k, w = None, log_w.size, log_w
+    else:
+        k = 2 * half_width + 1
+        # fmax and fmin send a NaN event to a valid band; its row stays NaN
+        c = np.fmin(np.fmax(np.rint(x), half_width), log_w.size - 1 - half_width)
+        lo = c.astype(np.intp) - half_width
+        x = x - lo
+    d = ws.d[: x.size * k].reshape(x.size, k)
+    a = ws.a[: x.size * k].reshape(x.size, k)
+    ls = ws.ls[:k]
+    if lo is not None:
+        w = np.take(sliding_window_view(log_w, k), lo, axis=0, out=d, mode="clip")
+    np.subtract(x[:, None], ls, out=a)
     with np.errstate(over="ignore"):
-        np.divide(d, sigma, out=a)
+        np.divide(a, sigma, out=a)
         np.square(a, out=a)
         np.multiply(a, 0.5, out=a)
-        np.subtract(log_w, a, out=a)
+        np.subtract(w, a, out=a)
+    np.subtract(x[:, None], ls, out=d)
     # a column-wise maximum gives np.max's values and is faster on short rows
     m = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
+    for j in range(1, k):
         np.maximum(m, a[:, j], out=m)
     m[~np.isfinite(m)] = 0.0
     np.subtract(a, m[:, None], out=a)
-    np.less(a, _LOG_DBL_MIN, out=low)
-    tiny = low & (a >= _LOG_EXP_ZERO)
-    a_tiny = a[tiny]
-    np.copyto(a, 0.0, where=low)
     np.exp(a, out=a)
-    np.copyto(a, 0.0, where=low)
-    a[tiny] = np.exp(a_tiny)
     s = np.sum(a, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lse = m + np.log(s)
-    return d, a, lse, s
+    return lo, d, a, lse, s
 
 
 def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
@@ -259,11 +312,12 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     l_max = _cutoff(n) if l_max is None else l_max
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     ws = _Workspace(x_arr.size, l_max)
+    half_width = _band_half_width(n, sigma, l_max)
     log_w = _log_poisson_weights(n, l_max)
     lse = np.empty(x_arr.size)
-    for lo in range(0, x_arr.size, _EVENT_CHUNK):
-        chunk = x_arr[lo : lo + _EVENT_CHUNK]
-        lse[lo : lo + chunk.size] = _chunk_softmax(chunk, log_w, sigma, ws)[2]
+    for start in range(0, x_arr.size, _EVENT_CHUNK):
+        chunk = x_arr[start : start + _EVENT_CHUNK]
+        lse[start : start + chunk.size] = _chunk_softmax(chunk, log_w, sigma, ws, half_width)[3]
     out = np.exp(lse - np.log(sigma) - _LOG_SQRT_2PI)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -312,18 +366,23 @@ def _em_pass(events, n, sigma, l_max, ws=None):
     l_max = _cutoff(n) if l_max is None else l_max
     if ws is None:
         ws = _Workspace(events.size, l_max)
+    half_width = _band_half_width(n, sigma, l_max)
     log_w = _log_poisson_weights(n, l_max)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
     ll = 0.0
     sum_rl = 0.0
     sum_rsq = 0.0
-    for lo in range(0, events.size, _EVENT_CHUNK):
-        d, r, lse, s = _chunk_softmax(events[lo : lo + _EVENT_CHUNK], log_w, sigma, ws)
+    for start in range(0, events.size, _EVENT_CHUNK):
+        chunk = events[start : start + _EVENT_CHUNK]
+        lo, d, r, lse, s = _chunk_softmax(chunk, log_w, sigma, ws, half_width)
         with np.errstate(invalid="ignore"):
             np.divide(r, s[:, None], out=r)
         r[s == 0.0] = 0.0
         ll += float(np.sum(lse + log_norm))
-        sum_rl += float(np.sum(np.sum(r, axis=0) * ws.ls))
+        # sum(r l) = sum(r j) + sum(lo rowsum(r)) for the band columns j = l - lo
+        sum_rl += float(np.sum(np.sum(r, axis=0) * ws.ls[: r.shape[1]]))
+        if lo is not None:
+            sum_rl += float(np.sum(lo * np.sum(r, axis=1)))
         # (r * d) * d, not r * d**2: the sum must see the same roundings
         np.multiply(r, d, out=r)
         np.multiply(r, d, out=r)
@@ -477,7 +536,7 @@ def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarr
     ``l + 1/2 + sigma^2 ln((l+1)/n)``; boundaries shift toward the
     lower-prior component.
     """
-    l_max = _cutoff(n) if l_max is None else l_max
+    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
     ls = np.arange(l_max)
     return ls + 0.5 + sigma**2 * np.log((ls + 1.0) / n)
 
@@ -514,7 +573,7 @@ def discrimination_error(
         return 0.0
     if not sigma > 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    l_max = _cutoff(n) if l_max is None else l_max
+    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
     ls = np.arange(l_max + 1)
     weights = np.exp(_log_poisson_weights(n, l_max))
     if mode == "nearest":
@@ -563,7 +622,7 @@ def expected_bin_counts(
     the edges, component by component in ``l`` order, skipping components
     whose weight underflows to 0 (they would add exactly 0).
     """
-    l_max = _cutoff(n) if l_max is None else l_max
+    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
     edges = hist.bin_edges
     weights = np.exp(_log_poisson_weights(n, l_max))
     cdf_at_edges = np.zeros(edges.size)

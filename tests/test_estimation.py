@@ -179,7 +179,8 @@ class TestLogLikelihood:
 def _reference_chunks(events, n, sigma, l_max):
     """The E-step as one exp over freshly allocated arrays, kept literally.
 
-    The workspace kernel must reproduce every bit of this arithmetic.
+    Sums every component; the workspace kernel must reproduce every bit of
+    this arithmetic where its band covers them all.
     """
     ls = np.arange(l_max + 1)
     log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
@@ -198,7 +199,35 @@ def _reference_chunks(events, n, sigma, l_max):
         yield d, lse, r
 
 
+def _banded_reference_chunks(events, n, sigma, l_max, b):
+    """The banded E-step kept literally: a plain gather of the log-weights, one exp.
+
+    Event ``x`` sums the ``2b + 1`` components from ``lo = c - b``,
+    ``c = clip(rint(x), b, l_max - b)``; the workspace kernel must reproduce
+    every bit of this arithmetic. Takes no NaN events.
+    """
+    ls = np.arange(l_max + 1)
+    log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
+    cols = np.arange(2 * b + 1)
+    for start in range(0, events.size, 1 << 16):
+        x = events[start : start + (1 << 16)]
+        lo = np.clip(np.rint(x), b, l_max - b).astype(np.int64) - b
+        d = (x - lo)[:, None] - cols
+        with np.errstate(over="ignore"):
+            a = log_w[lo[:, None] + cols] - 0.5 * (d / sigma) ** 2
+        m = np.max(a, axis=1)
+        safe_m = np.where(np.isfinite(m), m, 0.0)
+        e = np.exp(a - safe_m[:, None])
+        s = np.sum(e, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lse = safe_m + np.log(s)
+            r = e / s[:, None]
+        r[s == 0.0] = 0.0
+        yield lo, cols, d, lse, r
+
+
 def reference_em_pass(events, n, sigma, l_max):
+    """``(ll, sum(r l), sum(r d^2))`` summed over every component."""
     ls = np.arange(l_max + 1)
     log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
     ll = sum_rl = sum_rsq = 0.0
@@ -209,20 +238,37 @@ def reference_em_pass(events, n, sigma, l_max):
     return ll, sum_rl, sum_rsq
 
 
-def reference_log_likelihood(events, n, sigma, l_max):
-    total = 0.0
+def banded_reference_em_pass(events, n, sigma, l_max):
+    """The pass the kernel must reproduce bit for bit: banded where the rule bands."""
+    b = estimation._band_half_width(n, sigma, l_max)
+    if b is None:
+        return reference_em_pass(events, n, sigma, l_max)
     log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
-    for _, lse, _ in _reference_chunks(events, n, sigma, l_max):
-        if np.any(np.isneginf(lse)):
-            warnings.warn("mixture density underflowed to zero", RuntimeWarning)
-            return float("-inf")
-        total += float(np.sum(lse + log_norm))
-    return total
+    ll = sum_rl = sum_rsq = 0.0
+    for lo, cols, d, lse, r in _banded_reference_chunks(events, n, sigma, l_max, b):
+        ll += float(np.sum(lse + log_norm))
+        sum_rl += float(np.sum(np.sum(r, axis=0) * cols))
+        sum_rl += float(np.sum(lo * np.sum(r, axis=1)))
+        sum_rsq += float(np.sum(r * d * d))
+    return ll, sum_rl, sum_rsq
+
+
+def reference_log_likelihood(events, n, sigma, l_max):
+    ll = banded_reference_em_pass(events, n, sigma, l_max)[0]
+    if ll == float("-inf"):
+        warnings.warn("mixture density underflowed to zero", RuntimeWarning)
+    return ll
+
+
+def reference_density(x, n, sigma, l_max):
+    """The mixture density from the full-sum log-sum-exp of each ``x``."""
+    lse = np.concatenate([lse for _, lse, _ in _reference_chunks(x, n, sigma, l_max)])
+    return np.exp(lse - np.log(sigma) - 0.5 * np.log(2.0 * np.pi))
 
 
 def assert_kernel_matches_reference(events, n, sigma, l_max):
-    """Exact equality with the reference, with and without a reused workspace."""
-    want = reference_em_pass(events, n, sigma, l_max)
+    """Exact equality with the banded reference, with and without a reused workspace."""
+    want = banded_reference_em_pass(events, n, sigma, l_max)
     assert _em_pass(events, n, sigma, l_max) == want
     # a workspace that already holds another pass must not leak into this one
     ws = _Workspace(events.size, l_max)
@@ -235,8 +281,31 @@ def assert_kernel_matches_reference(events, n, sigma, l_max):
         )
 
 
+def assert_band_matches_full_sum(events, n, sigma, l_max):
+    """Every kernel entry point within 1e-12 of the full sum; equal where nothing is banded."""
+    want = reference_em_pass(events, n, sigma, l_max)
+    got = _em_pass(events, n, sigma, l_max)
+    if estimation._band_half_width(n, sigma, l_max) is None:
+        assert got == want
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ll = log_likelihood(events, n, sigma, l_max)
+    np.testing.assert_allclose(ll, want[0], rtol=1e-12, atol=0)
+    # each gradient term to 1e-12 of its size: their difference may cancel
+    big = (want[1] / n + events.size, want[2] / sigma**3 + events.size / sigma)
+    got_grad = log_likelihood_grad(events, n, sigma, l_max)
+    want_grad = (want[1] / n - events.size, want[2] / sigma**3 - events.size / sigma)
+    for g, w, scale in zip(got_grad, want_grad, big):
+        assert abs(g - w) <= 1e-12 * abs(scale) or (np.isnan(g) and np.isnan(w))
+    # densities below the normal range keep too few bits for a relative bound
+    np.testing.assert_allclose(mixture_density(events, n, sigma, l_max),
+                               reference_density(events, n, sigma, l_max),
+                               rtol=1e-12, atol=np.finfo(float).tiny)
+
+
 class TestExactKernel:
-    """The workspace E-step against the single-exp reference, bit for bit."""
+    """The workspace E-step against the single-exp references."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -253,12 +322,45 @@ class TestExactKernel:
         events = rng.poisson(min(n, 0.4 * l_max), size) + rng.normal(0.0, sigma, size)
         events[rng.integers(0, size, len(outliers))] = outliers
         assert_kernel_matches_reference(events, n, sigma, l_max)
+        assert_band_matches_full_sum(events, n, sigma, l_max)
+
+    # weights falling by e^-24 per component: a band of a few sigma loses
+    # the components that carry events near 20
+    @pytest.mark.parametrize("sigma", [0.6, 1.0])
+    def test_steep_weights(self, sigma):
+        events = 20.0 + np.random.default_rng(16).normal(0.0, 1.0, 200)
+        assert_kernel_matches_reference(events, 1e-9, sigma, 40)
+        assert_band_matches_full_sum(events, 1e-9, sigma, 40)
+
+    @pytest.mark.parametrize("n, sigma, l_max", [(2.55, 0.33, 20), (10.18, 0.33, 30),
+                                                 (1e-9, 0.26, 20), (5.0, 0.6, 40)])
+    def test_band_is_narrower_than_the_cutoff(self, n, sigma, l_max):
+        events = draw_mixture_events(min(n, 10.0), sigma, 5000, seed=17)
+        events[:3] = (-50.0, 1e3, 1e200)
+        assert 2 * estimation._band_half_width(n, sigma, l_max) + 1 < l_max + 1
+        assert_kernel_matches_reference(events, n, sigma, l_max)
+        assert_band_matches_full_sum(events, n, sigma, l_max)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_events_match_the_full_sum(self, bad):
+        events = draw_mixture_events(2.55, 0.33, 100, seed=18)
+        events[[0, 57, 99]] = bad
+        assert estimation._band_half_width(2.55, 0.33, 20) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, as the full sum
+            got = _em_pass(events, 2.55, 0.33, 20)
+            want = reference_em_pass(events, 2.55, 0.33, 20)
+            density = mixture_density(events, 2.55, 0.33, 20)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
+        np.testing.assert_allclose(density, reference_density(events, 2.55, 0.33, 20),
+                                   rtol=1e-12, atol=0, equal_nan=True)
 
     def test_subnormal_and_zero_cells(self):
         # with n = 1, sigma = 1 and l_max = 1 the l = 1 cell of event x sits
         # x - 0.5 below the row max, so the first grid puts cells across the
         # whole subnormal range; the second keeps sum(r l) subnormal, where
         # additions are exact, around the underflow-to-zero point -745.13
+        assert estimation._band_half_width(1.0, 1.0, 1) is None
         for lo, hi in ((-747.0, -706.0), (-746.0, -744.0)):
             events = np.linspace(lo, hi, 20001) + 0.5
             assert_kernel_matches_reference(events, 1.0, 1.0, 1)
@@ -270,7 +372,7 @@ class TestExactKernel:
         events[-1] = 1e200  # the one event of the second chunk underflows
         with pytest.warns(RuntimeWarning, match="underflow"):
             assert log_likelihood(events, 2.4, 0.3) == float("-inf")
-        assert _em_pass(events, 2.4, 0.3, 20) == reference_em_pass(events, 2.4, 0.3, 20)
+        assert _em_pass(events, 2.4, 0.3, 20) == banded_reference_em_pass(events, 2.4, 0.3, 20)
 
 
 class TestFitMixture:
@@ -454,6 +556,44 @@ class TestWorkspaceBound:
         monkeypatch.setattr(np, "arange", refuse)
         with pytest.raises(ValueError, match="l_max"):
             KERNEL_ENTRY_POINTS[entry](events, l_max)
+
+
+#: Entry points that hold ``l_max + 1`` component weights but run no
+#: likelihood kernel, called with the cutoff ``l_max``.
+WEIGHT_ENTRY_POINTS = {
+    "map_boundaries": lambda l_max: map_boundaries(1.0, 0.3, l_max),
+    "classify": lambda l_max: classify(0.4, 1.0, 0.3, "map", l_max),
+    "discrimination_error": lambda l_max: discrimination_error(1.0, 0.3, "map", l_max),
+    "expected_bin_counts": lambda l_max: expected_bin_counts(
+        build_histogram([0.0, 1.0, 2.0], 0.1), 1.0, 0.3, l_max
+    ),
+}
+
+
+class TestWeightBound:
+    """Every explicit cutoff is refused once its weights would reach the limit."""
+
+    LIMIT = 8 * 1000
+
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+    def test_refused_just_above_the_limit(self, monkeypatch, entry):
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
+        l_max = self.LIMIT // 8 - 2  # l_max + 1 doubles take 8 bytes less
+        assert np.all(np.isfinite(WEIGHT_ENTRY_POINTS[entry](l_max)))
+        with pytest.raises(ValueError, match=f"l_max {l_max + 1} needs") as info:
+            WEIGHT_ENTRY_POINTS[entry](l_max + 1)
+        assert str(self.LIMIT) in str(info.value)
+
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+    def test_refused_before_any_allocation(self, monkeypatch, entry):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused cutoff allocated an array")
+
+        for name in ("empty", "arange", "zeros", "full"):
+            monkeypatch.setattr(np, name, refuse)
+        # 2**25 doubles are 256 MiB, the limit
+        with pytest.raises(ValueError, match="l_max"):
+            WEIGHT_ENTRY_POINTS[entry](2**25 - 1)
 
 
 class TestClassify:
