@@ -24,19 +24,25 @@ The E-step (and ``mixture_density``) runs over events in chunks of
 ``_EVENT_CHUNK`` through one workspace (:class:`_Workspace`): a residual
 buffer ``d`` and a log-term buffer that is turned in place into exponentials
 and then responsibilities. ``fit_mixture`` allocates it once and every pass
-reuses it, so a pass allocates no float array of the chunk's size.
+reuses it, so a pass allocates no float array of the chunk's size. Both
+buffers are component-major: ``(k, chunk)`` arrays whose row ``j`` holds
+component ``lo + j`` of every event. Each step of the pass is then one
+whole-block operation or one operation per component row, each a long
+contiguous vector over the events; the maximum, the sum and the
+responsibility sums over the components add one row at a time, in
+component order.
 
 Each event is evaluated only at the band of ``2B + 1`` components around
 its nearest integer that can reach its log-sum-exp (``_band_half_width``).
 ``B`` grows with sigma and with the steepest step of the Poisson
 log-weights, and every component left out lies more than
 ``37 + ln(l_max + 1)`` below the nearest kept one, so together they stay
-below half an ulp of the row sum. At the usual sigma of a third of an
+below half an ulp of the event's sum. At the usual sigma of a third of an
 electron that is 7 of the 21 or 31 components. Where the band would cover
 every component the pass evaluates all of them, with the same arithmetic as
 a plain full sum. One ``np.exp`` covers the whole buffer: banded cells lie
-near their row maximum, so numpy's slow subnormal results, common in full
-rows of steep weights, are rare there. No sum over the components goes
+near their event's maximum, so numpy's slow subnormal results, common in
+full sums over steep weights, are rare there. No sum over the components goes
 through BLAS, whose rounding can change with its thread count, so the fit
 gives the same bytes for any thread count.
 """
@@ -48,7 +54,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 #: Lower clamp on the fitted sigma (electrons); prevents zero-variance
@@ -61,9 +66,14 @@ _N_FLOOR = 1e-9
 
 _EVENT_CHUNK = 1 << 16
 #: A workspace float buffer (``min(N, _EVENT_CHUNK)`` events by ``l_max + 1``
-#: float64 components; a workspace holds two), and any other array of
-#: ``l_max + 1`` doubles, must stay below this many bytes.
+#: float64 components; a workspace holds two), and all the arrays of
+#: ``l_max + 1`` doubles that one call of an entry point without a workspace
+#: holds at once, must stay below this many bytes.
 _MAX_WORKSPACE_BYTES = 1 << 28
+#: The entry points without a workspace hold at most three arrays of
+#: ``l_max + 1`` doubles at once; ``_bounded_l_max`` counts four, so the
+#: small arrays beside them fit below the limit too.
+_WEIGHT_ARRAYS = 4
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 #: The fit stops once two accepted points differ in log-likelihood by less
@@ -178,18 +188,27 @@ def _cutoff(mean: float) -> int:
 
 
 def _bounded_l_max(l_max: int) -> int:
-    """``l_max``, refused unless its ``l_max + 1`` doubles stay below ``_MAX_WORKSPACE_BYTES``."""
-    if not (l_max + 1) * 8 < _MAX_WORKSPACE_BYTES:
+    """``l_max``, refused unless ``_WEIGHT_ARRAYS`` arrays of its weights stay below the limit.
+
+    Every array counts: ``_MAX_WORKSPACE_BYTES`` bounds the whole call, not one array.
+    """
+    if not _WEIGHT_ARRAYS * (l_max + 1) * 8 < _MAX_WORKSPACE_BYTES:
         raise ValueError(
-            f"l_max {l_max} needs {(l_max + 1) * 8} bytes per array of "
-            f"component weights; the limit is {_MAX_WORKSPACE_BYTES}"
+            f"l_max {l_max} needs {_WEIGHT_ARRAYS * (l_max + 1) * 8} bytes for "
+            f"{_WEIGHT_ARRAYS} arrays of component weights; the limit is "
+            f"{_MAX_WORKSPACE_BYTES}"
         )
     return l_max
 
 
 def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
-    ls = np.arange(l_max + 1)
-    return ls * np.log(n) - n - special.gammaln(ls + 1.0)
+    """``l ln n - n - ln l!`` for ``l = 0 .. l_max``, built in place in two arrays."""
+    log_w = np.arange(l_max + 1.0)
+    log_fact = log_w + 1.0
+    special.gammaln(log_fact, out=log_fact)
+    np.multiply(log_w, np.log(n), out=log_w)
+    np.subtract(log_w, n, out=log_w)
+    return np.subtract(log_w, log_fact, out=log_w)
 
 
 class _Workspace:
@@ -197,8 +216,10 @@ class _Workspace:
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
     float buffer would reach ``_MAX_WORKSPACE_BYTES``, so every likelihood
-    pass has bounded memory whatever the cutoff. A pass over a band of ``k``
-    components uses the first ``chunk * k`` cells of each buffer.
+    pass has bounded memory whatever the cutoff. The buffers are laid out
+    component-major: a pass over ``k`` components of a chunk of ``c`` events
+    views the first ``k * c`` cells of each as a C-contiguous ``(k, c)``
+    array whose row ``j`` holds component ``lo + j`` of every event.
     """
 
     def __init__(self, n_events: int, l_max: int):
@@ -211,7 +232,7 @@ class _Workspace:
                 f"{n_events} events; the limit is {_MAX_WORKSPACE_BYTES}"
             )
         self.ls = np.arange(l_max + 1.0)
-        self.d = np.empty(cells)  # residuals x - l
+        self.d = np.empty(cells)  # log-weights -> residuals x - l
         self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
 
 
@@ -225,7 +246,7 @@ def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
     ``ln w_{l+1} - ln w_l = ln(n / (l + 1))`` of the log-weights and
     ``T = 37 + ln(l_max + 1)``.
 
-    Why no dropped term reaches the row sum: let ``p`` be the kept component
+    Why no dropped term reaches the event's sum: let ``p`` be the kept component
     nearest ``x`` and ``l`` a dropped one, say above the band (below is the
     mirror image). Components exist above the band only if ``c < l_max - B``,
     so ``c >= rint(x)`` and ``p <= c``, hence ``D = l - p >= B + 1``; and
@@ -235,7 +256,7 @@ def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
     ``p`` by at least ``D ((D - 1) / (2 sigma^2) - g)``, which for
     ``D >= B + 1 >= 2 sigma^2 g + 1`` is at least ``(B + 1)(B / (2 sigma^2) - g)
     > T``. The at most ``l_max + 1`` dropped terms together stay below
-    ``e^-37 < 2^-53`` of the kept row sum, half an ulp. This holds for
+    ``e^-37 < 2^-53`` of the kept sum, half an ulp. This holds for
     clipped centres and for events outside ``[0, l_max]`` alike.
     """
     two_var = 2.0 * sigma * sigma
@@ -253,46 +274,64 @@ def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
     return None
 
 
+def _component_sum(rows):
+    """The sum of the rows of a ``(k, c)`` array, added one row at a time in row order."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        np.add(total, row, out=total)
+    return total
+
+
 def _chunk_softmax(x, log_w, sigma, ws, half_width):
-    """Row-wise log-sum-exp over the components for one chunk ``x`` of events.
+    """Log-sum-exp over the components for one chunk ``x`` of events, component-major.
 
     Event ``i`` is evaluated at the ``k`` components ``lo_i`` to
     ``lo_i + k - 1``: every component (``lo`` None, read as 0) when
     ``half_width`` is None, else the band of :func:`_band_half_width`.
-    Fills ``ws`` in place and returns ``lo`` and views ``(d, e)`` of its first
-    ``x.size * k`` cells, the residuals ``x - l`` and the shifted exponentials
-    ``exp(a - m)`` of the log-terms ``a`` (``m`` the row max, 0 where it is
-    not finite), and the row vectors ``(lse, s)``, ``s`` the row sums of
-    ``e``. Rows whose log-terms are all -inf get lse = -inf and s = 0.
+    Fills ``ws`` in place and returns ``lo`` and ``(k, x.size)`` views
+    ``(d, e)`` of its first ``k * x.size`` cells, whose row ``j`` holds
+    component ``lo + j`` of every event: the residuals ``x - lo - j`` and the
+    shifted exponentials ``exp(a - m)`` of the log-terms ``a`` (``m`` the
+    event's largest log-term, 0 where it is not finite). Also returns the
+    event vectors ``(lse, s)``, ``s`` the sum of the rows of ``e`` in row
+    order. Events whose log-terms are all -inf get lse = -inf and s = 0.
+    Every step is a whole-block operation or one per row, each over the
+    contiguous event axis.
     """
     if half_width is None:
-        lo, k, w = None, log_w.size, log_w
+        lo, k = None, log_w.size
     else:
         k = 2 * half_width + 1
-        # fmax and fmin send a NaN event to a valid band; its row stays NaN
+        # fmax and fmin send a NaN event to a valid band; its column stays NaN
         c = np.fmin(np.fmax(np.rint(x), half_width), log_w.size - 1 - half_width)
         lo = c.astype(np.intp) - half_width
         x = x - lo
-    d = ws.d[: x.size * k].reshape(x.size, k)
-    a = ws.a[: x.size * k].reshape(x.size, k)
-    ls = ws.ls[:k]
-    if lo is not None:
-        w = np.take(sliding_window_view(log_w, k), lo, axis=0, out=d, mode="clip")
-    np.subtract(x[:, None], ls, out=a)
+    d = ws.d[: k * x.size].reshape(k, x.size)
+    a = ws.a[: k * x.size].reshape(k, x.size)
+    if lo is None:
+        w = log_w[:, None]
+    else:
+        w = d
+        # lo + j <= l_max always; "clip" lets np.take write straight into out
+        for j in range(k):
+            np.take(log_w[j:], lo, out=d[j], mode="clip")
+    for j in range(k):
+        np.subtract(x, j, out=a[j])
     with np.errstate(over="ignore"):
         np.divide(a, sigma, out=a)
         np.square(a, out=a)
         np.multiply(a, 0.5, out=a)
         np.subtract(w, a, out=a)
-    np.subtract(x[:, None], ls, out=d)
-    # a column-wise maximum gives np.max's values and is faster on short rows
-    m = a[:, 0].copy()
+    # d held the gathered log-weights until now
+    for j in range(k):
+        np.subtract(x, j, out=d[j])
+    m = a[0].copy()
     for j in range(1, k):
-        np.maximum(m, a[:, j], out=m)
+        np.maximum(m, a[j], out=m)
     m[~np.isfinite(m)] = 0.0
-    np.subtract(a, m[:, None], out=a)
+    np.subtract(a, m, out=a)
     np.exp(a, out=a)
-    s = np.sum(a, axis=1)
+    s = _component_sum(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         lse = m + np.log(s)
     return lo, d, a, lse, s
@@ -376,13 +415,13 @@ def _em_pass(events, n, sigma, l_max, ws=None):
         chunk = events[start : start + _EVENT_CHUNK]
         lo, d, r, lse, s = _chunk_softmax(chunk, log_w, sigma, ws, half_width)
         with np.errstate(invalid="ignore"):
-            np.divide(r, s[:, None], out=r)
-        r[s == 0.0] = 0.0
+            np.divide(r, s, out=r)
+        r[:, s == 0.0] = 0.0
         ll += float(np.sum(lse + log_norm))
-        # sum(r l) = sum(r j) + sum(lo rowsum(r)) for the band columns j = l - lo
-        sum_rl += float(np.sum(np.sum(r, axis=0) * ws.ls[: r.shape[1]]))
+        # sum(r l) = sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
+        sum_rl += float(np.sum(np.sum(r, axis=1) * ws.ls[: r.shape[0]]))
         if lo is not None:
-            sum_rl += float(np.sum(lo * np.sum(r, axis=1)))
+            sum_rl += float(np.sum(lo * _component_sum(r)))
         # (r * d) * d, not r * d**2: the sum must see the same roundings
         np.multiply(r, d, out=r)
         np.multiply(r, d, out=r)
@@ -537,8 +576,11 @@ def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarr
     lower-prior component.
     """
     l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
-    ls = np.arange(l_max)
-    return ls + 0.5 + sigma**2 * np.log((ls + 1.0) / n)
+    out = np.arange(1.0, l_max + 1.0)  # l + 1
+    np.divide(out, n, out=out)
+    np.log(out, out=out)
+    np.multiply(out, sigma**2, out=out)
+    return np.add(out, np.arange(0.5, l_max), out=out)
 
 
 def classify(x, n: float, sigma: float, mode: str = "nearest", l_max: int | None = None):
@@ -573,23 +615,30 @@ def discrimination_error(
         return 0.0
     if not sigma > 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if mode not in ("nearest", "map"):
+        raise ValueError(f"mode must be 'nearest' or 'map', got {mode!r}")
     l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
-    ls = np.arange(l_max + 1)
-    weights = np.exp(_log_poisson_weights(n, l_max))
     if mode == "nearest":
         q = special.ndtr(-0.5 / sigma)
         per_comp = np.full(l_max + 1, 2.0 * q)
         per_comp[0] = q
-    elif mode == "map":
-        bounds = map_boundaries(n, sigma, l_max)
-        lower = np.concatenate(([-np.inf], bounds))   # region floor of l
-        upper = np.concatenate((bounds, [np.inf]))    # region ceiling of l
-        per_comp = special.ndtr((lower - ls) / sigma) + special.ndtr(
-            (ls - upper) / sigma
-        )
     else:
-        raise ValueError(f"mode must be 'nearest' or 'map', got {mode!r}")
-    return float(np.sum(weights * per_comp))
+        # the region of l is [bounds[l - 1], bounds[l]), unbounded below 0 and above l_max
+        bounds = map_boundaries(n, sigma, l_max)
+        per_comp = np.empty(l_max + 1)  # (floor - l) / sigma, then its ndtr
+        upper = np.arange(l_max + 1.0)  # (l - ceiling) / sigma, then its ndtr
+        per_comp[0] = -np.inf
+        np.subtract(bounds, upper[1:], out=per_comp[1:])
+        np.subtract(upper[:-1], bounds, out=upper[:-1])
+        upper[-1] = -np.inf
+        np.divide(per_comp, sigma, out=per_comp)
+        np.divide(upper, sigma, out=upper)
+        np.add(special.ndtr(per_comp, out=per_comp), special.ndtr(upper, out=upper),
+               out=per_comp)
+        del bounds, upper  # the weights below take their place
+    weights = _log_poisson_weights(n, l_max)
+    np.exp(weights, out=weights)
+    return float(np.sum(np.multiply(weights, per_comp, out=per_comp)))
 
 
 def estimate_qe(
@@ -627,8 +676,8 @@ def expected_bin_counts(
     weights = np.exp(_log_poisson_weights(n, l_max))
     cdf_at_edges = np.zeros(edges.size)
     term = np.empty(edges.size)
-    nonzero = np.flatnonzero(weights)
-    for l, w in zip(nonzero.tolist(), weights[nonzero].tolist()):
+    for l in np.flatnonzero(weights):
+        w = weights[l]
         np.subtract(edges, l, out=term)
         np.divide(term, sigma, out=term)
         special.ndtr(term, out=term)

@@ -176,35 +176,51 @@ class TestLogLikelihood:
         assert g_s == pytest.approx(fd_s, rel=1e-4)
 
 
-def _reference_chunks(events, n, sigma, l_max):
-    """The E-step as one exp over freshly allocated arrays, kept literally.
+def _sequential_sum(rows):
+    """The rows of a ``(k, N)`` array added one after another, in row order."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
 
-    Sums every component; the workspace kernel must reproduce every bit of
-    this arithmetic where its band covers them all.
+
+def _reference_softmax(w, d, sigma):
+    """``(lse, r)`` of the ``(k, N)`` log-weights ``w`` and residuals ``d``, one exp."""
+    with np.errstate(over="ignore"):
+        a = w - 0.5 * (d / sigma) ** 2
+    m = np.max(a, axis=0)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(a - safe_m)
+    s = _sequential_sum(e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lse = safe_m + np.log(s)
+        r = e / s
+    r[:, s == 0.0] = 0.0
+    return lse, r
+
+
+def _reference_chunks(events, n, sigma, l_max):
+    """The E-step over every component as one exp over fresh arrays, kept literally.
+
+    Row ``l`` of the ``(l_max + 1, N)`` arrays holds component ``l`` of every
+    event; the workspace kernel must reproduce every bit of this arithmetic
+    where its band covers every component.
     """
     ls = np.arange(l_max + 1)
     log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
-    for lo in range(0, events.size, 1 << 16):
-        d = events[lo : lo + (1 << 16), None] - ls
-        with np.errstate(over="ignore"):
-            a = log_w - 0.5 * (d / sigma) ** 2
-        m = np.max(a, axis=1)
-        safe_m = np.where(np.isfinite(m), m, 0.0)
-        e = np.exp(a - safe_m[:, None])
-        s = np.sum(e, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lse = safe_m + np.log(s)
-            r = e / s[:, None]
-        r[s == 0.0] = 0.0
+    for start in range(0, events.size, 1 << 16):
+        d = events[start : start + (1 << 16)] - ls[:, None]
+        lse, r = _reference_softmax(log_w[:, None], d, sigma)
         yield d, lse, r
 
 
 def _banded_reference_chunks(events, n, sigma, l_max, b):
-    """The banded E-step kept literally: a plain gather of the log-weights, one exp.
+    """The banded E-step kept literally: a plain ``(2b + 1, N)`` gather, one exp.
 
     Event ``x`` sums the ``2b + 1`` components from ``lo = c - b``,
-    ``c = clip(rint(x), b, l_max - b)``; the workspace kernel must reproduce
-    every bit of this arithmetic. Takes no NaN events.
+    ``c = clip(rint(x), b, l_max - b)``, row ``j`` holding component
+    ``lo + j``; the workspace kernel must reproduce every bit of this
+    arithmetic. Takes no NaN events.
     """
     ls = np.arange(l_max + 1)
     log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
@@ -212,17 +228,8 @@ def _banded_reference_chunks(events, n, sigma, l_max, b):
     for start in range(0, events.size, 1 << 16):
         x = events[start : start + (1 << 16)]
         lo = np.clip(np.rint(x), b, l_max - b).astype(np.int64) - b
-        d = (x - lo)[:, None] - cols
-        with np.errstate(over="ignore"):
-            a = log_w[lo[:, None] + cols] - 0.5 * (d / sigma) ** 2
-        m = np.max(a, axis=1)
-        safe_m = np.where(np.isfinite(m), m, 0.0)
-        e = np.exp(a - safe_m[:, None])
-        s = np.sum(e, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lse = safe_m + np.log(s)
-            r = e / s[:, None]
-        r[s == 0.0] = 0.0
+        d = (x - lo) - cols[:, None]
+        lse, r = _reference_softmax(log_w[lo + cols[:, None]], d, sigma)
         yield lo, cols, d, lse, r
 
 
@@ -233,7 +240,8 @@ def reference_em_pass(events, n, sigma, l_max):
     ll = sum_rl = sum_rsq = 0.0
     for d, lse, r in _reference_chunks(events, n, sigma, l_max):
         ll += float(np.sum(lse + log_norm))
-        sum_rl += float(np.sum(np.sum(r, axis=0) * ls))
+        # sum_l l sum_i r_li, the event sums over contiguous rows
+        sum_rl += float(np.sum(np.array([np.sum(row) for row in r]) * ls))
         sum_rsq += float(np.sum(r * d * d))
     return ll, sum_rl, sum_rsq
 
@@ -247,8 +255,9 @@ def banded_reference_em_pass(events, n, sigma, l_max):
     ll = sum_rl = sum_rsq = 0.0
     for lo, cols, d, lse, r in _banded_reference_chunks(events, n, sigma, l_max, b):
         ll += float(np.sum(lse + log_norm))
-        sum_rl += float(np.sum(np.sum(r, axis=0) * cols))
-        sum_rl += float(np.sum(lo * np.sum(r, axis=1)))
+        # sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
+        sum_rl += float(np.sum(np.array([np.sum(row) for row in r]) * cols))
+        sum_rl += float(np.sum(lo * _sequential_sum(r)))
         sum_rsq += float(np.sum(r * d * d))
     return ll, sum_rl, sum_rsq
 
@@ -564,6 +573,9 @@ WEIGHT_ENTRY_POINTS = {
     "map_boundaries": lambda l_max: map_boundaries(1.0, 0.3, l_max),
     "classify": lambda l_max: classify(0.4, 1.0, 0.3, "map", l_max),
     "discrimination_error": lambda l_max: discrimination_error(1.0, 0.3, "map", l_max),
+    "discrimination_error_nearest": lambda l_max: discrimination_error(
+        1.0, 0.3, "nearest", l_max
+    ),
     "expected_bin_counts": lambda l_max: expected_bin_counts(
         build_histogram([0.0, 1.0, 2.0], 0.1), 1.0, 0.3, l_max
     ),
@@ -571,14 +583,22 @@ WEIGHT_ENTRY_POINTS = {
 
 
 class TestWeightBound:
-    """Every explicit cutoff is refused once its weights would reach the limit."""
+    """Every explicit cutoff is refused once the weight arrays of one call would reach the limit."""
 
     LIMIT = 8 * 1000
+
+    @staticmethod
+    def largest_l_max(limit):
+        """The largest cutoff whose ``_WEIGHT_ARRAYS`` weight arrays stay below ``limit``."""
+        arrays = estimation._WEIGHT_ARRAYS
+        l_max = limit // (8 * arrays) - 2
+        assert arrays * (l_max + 1) * 8 < limit <= arrays * (l_max + 2) * 8
+        return l_max
 
     @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
     def test_refused_just_above_the_limit(self, monkeypatch, entry):
         monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
-        l_max = self.LIMIT // 8 - 2  # l_max + 1 doubles take 8 bytes less
+        l_max = self.largest_l_max(self.LIMIT)
         assert np.all(np.isfinite(WEIGHT_ENTRY_POINTS[entry](l_max)))
         with pytest.raises(ValueError, match=f"l_max {l_max + 1} needs") as info:
             WEIGHT_ENTRY_POINTS[entry](l_max + 1)
@@ -594,6 +614,21 @@ class TestWeightBound:
         # 2**25 doubles are 256 MiB, the limit
         with pytest.raises(ValueError, match="l_max"):
             WEIGHT_ENTRY_POINTS[entry](2**25 - 1)
+
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+    def test_peak_stays_below_the_limit(self, monkeypatch, entry):
+        # every array a call holds at once counts, not one array of weights
+        limit = 1 << 22
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        l_max = self.largest_l_max(limit)
+        tracemalloc.start()
+        try:
+            result = WEIGHT_ENTRY_POINTS[entry](l_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result))
+        assert peak < limit
 
 
 class TestClassify:

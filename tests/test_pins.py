@@ -7,8 +7,10 @@ the simulation bytes identical and the fit within the stated tolerances.
 The fit pins were re-recorded when the plain EM loop became SQUAREM, and
 again when the sums over the components became fixed-order numpy reductions
 and a SQUAREM cycle learned to stop at its first EM image, and again when
-the E-step came to sum each event over a band of components. The plain-EM
-optimum each one held before is kept in ``PLAIN_EM`` and checked too: the
+the E-step came to sum each event over a band of components, and again
+when it came to lay the band out component-major and add over the
+components in order. The plain-EM optimum each one held before is kept in
+``PLAIN_EM`` and checked too: the
 pinned fit reaches at least its log-likelihood, moves n and sigma by less
 than a thousandth of the standard error and keeps the standard error.
 """
@@ -47,8 +49,8 @@ DARK_PINS = {
 SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
 
 FIT_PINS = {
-    "fitted_curve.csv": "62086c9560b7b4e813b4dff63a1ffb10d0b9d0c4453de7ea5a4d5e39f717e983",
-    "histogram.csv": "eb2891fddfc69c4312c9e23bcdac299b60fd6ac15ec87d8b82c3587b2d78aa5f",
+    "fitted_curve.csv": "f2918abe8a63ed56ac7978eae2c589e9d139762516ad77bd0b99e39847e9df7f",
+    "histogram.csv": "55fb50f921951fbd04aa6b8bc1a1800c8c8ab75d2c44d548986c414e9580faac",
 }
 
 #: (n_hat, sigma_hat, log_likelihood, stderr_n) of the plain-EM fits
@@ -108,7 +110,7 @@ def test_fit_command_output_pinned(tmp_path):
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
     assert fit["converged"] is True
     assert fit["iterations"] == 10
-    assert fit["n_hat"] == 1.0789625856445615
+    assert fit["n_hat"] == 1.0789625856445695
     assert fit["sigma_hat"] == 0.25325008881137173
     assert fit["log_likelihood"] == -25814.531473540606
     assert fit["stderr_n"] == pytest.approx(0.007444198707317421, rel=1e-9, abs=0)
@@ -127,8 +129,8 @@ def test_fit_values_pinned():
     fit = fit_mixture(events)
     assert fit.converged
     assert fit.n_iterations == 12
-    assert fit.n_hat == 2.56906251882058
-    assert fit.sigma_hat == 0.32563233901101346
+    assert fit.n_hat == 2.5690625188205782
+    assert fit.sigma_hat == 0.3256323390110131
     assert fit.log_likelihood == -37032.2599427882
     assert fit.stderr_n == pytest.approx(0.011526468844412871, rel=1e-9, abs=0)
     assert_agrees_with_plain_em("fit values", fit.n_hat, fit.sigma_hat,
