@@ -50,7 +50,7 @@ from .estimation import (
     mixture_density,
 )
 from .noise import QuadratureError, cds_sigma
-from .readout import RunConfig, extract_events, frames_to_csv, simulate_run
+from .readout import RunConfig, extract_events, frames_to_csv, simulate_run, write_table
 from .source import mean_carriers
 
 #: Most histogram bins a fit may write (its fitted curve has five points a bin).
@@ -75,11 +75,6 @@ def _json_safe(x):
     if isinstance(x, float) and not np.isfinite(x):
         return None
     return x
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; plain '.'-decimal, no separators."""
-    return repr(float(x))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -178,18 +173,12 @@ def _cmd_simulate(args, dark: bool) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames_to_csv(run, out_dir / "frames.csv")
-    _write_text(
-        out_dir / "events.csv",
-        "measured_delta_e\n" + "".join(_fmt(e) + "\n" for e in events),
-    )
-
-    hist_lines = ["bin_width,bin_center,count"]
-    if events.size:
-        for width in (0.1, 1.0):
-            hist = build_histogram(events, width)
-            for c, k in zip(hist.bin_centers, hist.counts):
-                hist_lines.append(f"{_fmt(width)},{_fmt(c)},{int(k)}")
-    _write_text(out_dir / "histogram.csv", "\n".join(hist_lines) + "\n")
+    write_table(out_dir / "events.csv", ("measured_delta_e",), events)
+    # the 0.1 e and 1.0 e binnings stacked; no events: no columns, only the header
+    hists = [build_histogram(events, w) for w in (0.1, 1.0)] if events.size else []
+    parts = [(np.full(h.counts.size, h.bin_width), h.bin_centers, h.counts) for h in hists]
+    write_table(out_dir / "histogram.csv", ("bin_width", "bin_center", "count"),
+                *map(np.concatenate, zip(*parts)))
 
     echo = {
         "detector": copy.deepcopy(cfg.raw["detector"]),
@@ -216,18 +205,31 @@ def _cmd_simulate(args, dark: bool) -> int:
 def _read_events(path: str, column: str | None) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if column is not None:
-        reader = csv.DictReader(lines)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        header = next(csv.reader(lines), None)
+        if header is None or column not in header:
             raise ValueError(f"column {column!r} not found in {path}")
-        cells = ((reader.line_num, row[column]) for row in reader)
+        i = len(header) - 1 - header[::-1].index(column)  # the last of duplicates
+
+        def numbered():  # (line, cell) of each non-blank row; a short row gives None
+            rows = csv.reader(lines)
+            next(rows)
+            return ((rows.line_num, r[i] if i < len(r) else None) for r in rows if r)
+
         expected = f"a number in column {column!r}"
     else:
-        cells = (
-            (ln, line.strip()) for ln, line in enumerate(lines, start=1) if line.strip()
-        )
+
+        def numbered():
+            return ((ln, s) for ln, line in enumerate(lines, start=1) if (s := line.strip()))
+
         expected = "one number per line (use --column for CSV input)"
+    try:  # one numpy call parses every cell as float() does
+        values = np.array([cell for _, cell in numbered()], dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except (TypeError, ValueError):
+        pass  # the loop names the line, or keeps what float() accepts
     values = []
-    for ln, cell in cells:
+    for ln, cell in numbered():
         try:
             value = float(cell)
         except (TypeError, ValueError) as exc:
@@ -287,19 +289,10 @@ def _cmd_fit(args) -> int:
         },
     )
 
-    scale = hist.total * hist.bin_width
-    curve_lines = ["x,density,scaled_count"]
-    curve_lines += [
-        f"{_fmt(x)},{_fmt(d)},{_fmt(scale * d)}" for x, d in zip(xs, dens)
-    ]
-    _write_text(out_dir / "fitted_curve.csv", "\n".join(curve_lines) + "\n")
-
-    hist_lines = ["bin_center,count,expected_count"]
-    hist_lines += [
-        f"{_fmt(c)},{int(k)},{_fmt(e)}"
-        for c, k, e in zip(hist.bin_centers, hist.counts, expected)
-    ]
-    _write_text(out_dir / "histogram.csv", "\n".join(hist_lines) + "\n")
+    write_table(out_dir / "fitted_curve.csv", ("x", "density", "scaled_count"),
+                xs, dens, hist.total * hist.bin_width * dens)
+    write_table(out_dir / "histogram.csv", ("bin_center", "count", "expected_count"),
+                hist.bin_centers, hist.counts, expected)
     if not math.isfinite(fit.stderr_n):
         return _fail(2, f"degenerate fit: stderr_n is {fit.stderr_n} at n_hat "
                         f"{fit.n_hat!r}, sigma_hat {fit.sigma_hat!r}")
@@ -334,7 +327,7 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
         ) from exc
     if key not in KEY_SECTIONS:
         raise ConfigError(f"unknown sweep key {key!r}")
-    if step <= 0 or stop < start:
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise _UsageError(f"bad range in {spec!r}")
     return key, np.arange(start, stop + 0.5 * step, step)
 
@@ -380,9 +373,7 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     derived = (["sigma_e"] if emit_sigma else []) + ["snr_n1", "discrimination_error"]
-    header = ",".join([*keys, *derived])
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+    write_table(out_dir / "sweep.csv", (*keys, *derived), *np.array(rows, dtype=float).T)
     return 0
 
 

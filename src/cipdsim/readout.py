@@ -249,19 +249,25 @@ def extract_events(run: FrameRun) -> np.ndarray:
     return run.measured_delta_e[~run.reset]
 
 
-def frames_to_csv(run: FrameRun, path) -> None:
-    """Write the per-frame record stream as CSV (LF line endings)."""
-    rows = zip(
-        range(len(run)),
-        run.true_carriers.tolist(),
-        run.leakage_carriers.tolist(),
-        run.accumulated_carriers.tolist(),
-        map(repr, run.measured_delta_e.tolist()),
-        run.reset.view(np.uint8).tolist(),
-    )
+def write_table(path, header, *columns) -> None:
+    """Write ``columns`` under ``header``: the format of every CSV cipdsim writes.
+
+    A float ndarray column holds the shortest decimal that round-trips each
+    double (``repr``; Steele & White 1990, Gay 1990), any other column
+    decimal integers (``%d``). Cells are joined by ``,``; every line, the
+    header too, ends in LF.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    fmt = ",".join("%r" if f else "%d" for f in floats) + "\n"
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "frame_index,true_carriers,leakage_carriers,"
-            "accumulated_carriers,measured_delta_e,reset\n"
-        )
-        fh.write("".join(["%d,%d,%d,%d,%s,%d\n" % row for row in rows]))
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([fmt % row for row in rows]))
+
+
+def frames_to_csv(run: FrameRun, path) -> None:
+    """Write the per-frame record stream as a :func:`write_table` CSV."""
+    header = ("frame_index", "true_carriers", "leakage_carriers",
+              "accumulated_carriers", "measured_delta_e", "reset")
+    write_table(path, header, range(len(run)), run.true_carriers, run.leakage_carriers,
+                run.accumulated_carriers, run.measured_delta_e, run.reset)

@@ -300,6 +300,54 @@ class TestFit:
         assert fit["chi2"] / fit["dof"] < 2
 
 
+class TestReadEvents:
+    """``cli._read_events``: one numpy parse, and the per-line loop's errors."""
+
+    @pytest.mark.parametrize("bad", ["not-a-number", "nan"])
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_bad_cell_names_its_line(self, tmp_path, bad, column):
+        lines = [repr(v) for v in np.linspace(0.0, 3.0, 10_000).tolist()]
+        if column is not None:
+            lines[0] = column
+        lines[7776] = bad
+        path = tmp_path / "ev.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            cli._read_events(str(path), column)
+        assert str(info.value).startswith(f"{path}:7777: ")
+        assert str(info.value).endswith(f"got {bad!r}")
+
+    def test_short_row_gives_none(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ValueError, match="ev.csv:3: expected a number in column 'b', got None$"):
+            cli._read_events(str(path), "b")
+
+    def test_duplicate_header_takes_the_last(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("x,y,x\n1,2,3\n\n4,5,6\n")
+        assert cli._read_events(str(path), "x").tolist() == [3.0, 6.0]
+
+    @pytest.mark.parametrize("cell", [" 1.0", "+.5", "1_000", "infinity", "0x10", "\u0661"])
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_cells_parse_as_float_does(self, tmp_path, cell, column):
+        path = tmp_path / "ev.csv"
+        path.write_text(("" if column is None else "x\n") + f"2.5\n{cell}\n")
+        line = 2 if column is None else 3
+        try:
+            value = float(cell)
+        except ValueError:
+            with pytest.raises(ValueError, match=f":{line}: expected "):
+                cli._read_events(str(path), column)
+            return
+        if not np.isfinite(value):
+            with pytest.raises(ValueError, match=f":{line}: events must be finite"):
+                cli._read_events(str(path), column)
+            return
+        events = cli._read_events(str(path), column)
+        assert events.tobytes() == np.array([2.5, value]).tobytes()
+
+
 class TestSnr:
     def test_measured_dark_noise_gives_near_4(self):
         res = run_cli("snr", "--sigma-e", "0.26")
@@ -440,6 +488,16 @@ class TestSweep:
     def test_unknown_key_exit_1(self, tmp_path):
         res = run_cli("sweep", "--out", tmp_path, "--param", "bogus=1:2:1")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["rep_rate_hz=1:inf:1", "rep_rate_hz=nan:1:1", "rep_rate_hz=1:2:nan",
+         "rep_rate_hz=20:21:inf"],
+    )
+    def test_non_finite_range_exit_1(self, tmp_path, capsys, spec):
+        code, message = main_error(capsys, "sweep", "--out", tmp_path, "--param", spec)
+        assert code == 1
+        assert repr(spec) in message
 
     @pytest.mark.parametrize(
         "spec",

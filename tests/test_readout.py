@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipdsim import (
@@ -14,7 +14,8 @@ from cipdsim import (
     volts_per_carrier,
 )
 from cipdsim import readout
-from cipdsim.readout import STREAM_SIGNAL, frames_to_csv
+from cipdsim.cli import _read_events
+from cipdsim.readout import STREAM_SIGNAL, frames_to_csv, write_table
 
 
 def make_detector(leakage_per_hour=500.0, reset_threshold=30e-3):
@@ -361,3 +362,42 @@ def test_frames_csv_round_trip(tmp_path, device, calibrated_noise):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[4]) == float(run.measured_delta_e[0])
+    column = _read_events(str(path), "measured_delta_e")
+    assert column.tobytes() == run.measured_delta_e.tobytes()
+
+
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+             -1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(2**63), 2**63 - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(rows=[(x, k) for x, k in zip(_EXTREMES, [0, -1, 1, 2**63 - 1, -(2**63), 7, 2**53 + 1, 3])])
+def test_write_table_round_trips_through_the_fit_reader(tmp_path_factory, rows):
+    """Floats come back bit for bit, with and without --column; ints exactly."""
+    xs = np.array([x for x, _ in rows])
+    ks = np.array([k for _, k in rows], dtype=np.int64)
+    d = tmp_path_factory.mktemp("table")
+    write_table(d / "t.csv", ("x", "k"), xs, ks)
+    assert _read_events(str(d / "t.csv"), "x").tobytes() == xs.tobytes()
+    lines = (d / "t.csv").read_text().split("\n")
+    assert lines[0] == "x,k" and lines[-1] == ""
+    assert [int(line.split(",")[1]) for line in lines[1:-1]] == ks.tolist()
+    # the body of a one-column table is a plain-number file
+    write_table(d / "x.csv", ("x",), xs)
+    (d / "x.txt").write_text((d / "x.csv").read_text().split("\n", 1)[1])
+    assert _read_events(str(d / "x.txt"), None).tobytes() == xs.tobytes()
+
+
+def test_write_table_with_no_rows_writes_the_header(tmp_path):
+    write_table(tmp_path / "t.csv", ("a", "b"), np.empty(0), [])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
