@@ -53,8 +53,9 @@ from .noise import QuadratureError, cds_sigma
 from .readout import RunConfig, extract_events, frames_to_csv, simulate_run, write_table
 from .source import mean_carriers
 
-#: Most histogram bins a fit may write (its fitted curve has five points a bin).
-_MAX_HIST_BINS = 1 << 16
+#: The row limit of the tables: a fit's histogram has fewer bins (its fitted
+#: curve has five points a bin), a sweep grid at most this many points.
+_MAX_TABLE_ROWS = 1 << 16
 
 
 class _UsageError(ValueError):
@@ -253,10 +254,10 @@ def _cmd_fit(args) -> int:
         raise ValueError(f"the mean of the events in {args.events_file} overflows")
     lo, hi = float(np.min(events)), float(np.max(events))
     _, _, n_bins = _grid(np.array([lo, hi]), width)
-    if not n_bins < _MAX_HIST_BINS:
+    if not n_bins < _MAX_TABLE_ROWS:
         raise _UsageError(
             f"--bin-width {width!r} gives {n_bins:.3g} histogram bins over "
-            f"[{lo!r}, {hi!r}]; the limit is {_MAX_HIST_BINS}"
+            f"[{lo!r}, {hi!r}]; the limit is {_MAX_TABLE_ROWS}"
         )
     hist = build_histogram(events, width)
     fit = fit_mixture(events, l_max=args.l_max)
@@ -329,7 +330,11 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"unknown sweep key {key!r}")
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise _UsageError(f"bad range in {spec!r}")
-    return key, np.arange(start, stop + 0.5 * step, step)
+    end = stop + 0.5 * step
+    points = (end - start) / step  # np.arange makes ceil(points) of them
+    if not points <= _MAX_TABLE_ROWS:
+        raise _UsageError(f"{spec!r} gives {points:.3g} points; the limit is {_MAX_TABLE_ROWS}")
+    return key, np.arange(start, end, step)
 
 
 def _cmd_sweep(args) -> int:
@@ -339,6 +344,10 @@ def _cmd_sweep(args) -> int:
     if cfg.source is None:
         raise ConfigError("sweep requires a source section in the config")
     params = [_parse_sweep_param(p) for p in args.param]
+    points = math.prod(grid.size for _, grid in params)
+    if points > _MAX_TABLE_ROWS:
+        raise _UsageError(f"the grid of {' x '.join(map(repr, args.param))} has {points} "
+                          f"points; the limit is {_MAX_TABLE_ROWS}")
 
     keys = [k for k, _ in params]
     grids = [g for _, g in params]

@@ -65,15 +65,17 @@ SIGMA_FLOOR = 0.01
 _N_FLOOR = 1e-9
 
 _EVENT_CHUNK = 1 << 16
-#: A workspace float buffer (``min(N, _EVENT_CHUNK)`` events by ``l_max + 1``
-#: float64 components; a workspace holds two), and all the arrays of
-#: ``l_max + 1`` doubles that one call of an entry point without a workspace
-#: holds at once, must stay below this many bytes.
+#: All the float64 one estimator call holds at its peak stay below this many
+#: bytes together (``_refuse_over_limit``); the caller's events and a result
+#: of one value per event do not count. Counted per call, with room for the
+#: small arrays beside them: ``_WEIGHT_ARRAYS`` of ``l_max + 1`` doubles (at
+#: most four held), ``_CHUNK_VECTORS`` of a likelihood pass's chunk beside
+#: its two buffers (at most seven) and ``_EDGE_ARRAYS`` the length of the bin
+#: edges (at most four: the counts, edges, CDF and term buffer).
 _MAX_WORKSPACE_BYTES = 1 << 28
-#: The entry points without a workspace hold at most three arrays of
-#: ``l_max + 1`` doubles at once; ``_bounded_l_max`` counts four, so the
-#: small arrays beside them fit below the limit too.
 _WEIGHT_ARRAYS = 4
+_CHUNK_VECTORS = 8
+_EDGE_ARRAYS = 5
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 #: The fit stops once two accepted points differ in log-likelihood by less
@@ -141,8 +143,8 @@ def build_histogram(events, bin_width: float) -> Histogram:
     """Bin finite events on a grid whose bin centers sit on multiples of the width.
 
     Raises ``ValueError`` for a non-finite or non-positive ``bin_width``,
-    non-finite events, or a range whose bin counts would need
-    ``_MAX_WORKSPACE_BYTES`` or more.
+    non-finite events, or a range whose ``_EDGE_ARRAYS`` arrays of bin
+    edges would need ``_MAX_WORKSPACE_BYTES`` or more.
     """
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
@@ -152,17 +154,16 @@ def build_histogram(events, bin_width: float) -> Histogram:
     if not np.isfinite(events).all():
         raise ValueError("cannot histogram non-finite events")
     grid, first, n_bins = _grid(events, bin_width)
-    if not n_bins * 8 < _MAX_WORKSPACE_BYTES:
-        raise ValueError(
-            f"bin_width {bin_width} gives {n_bins:.3g} bins over "
-            f"[{events.min()}, {events.max()}]; their counts would need "
-            f"{n_bins * 8:.3g} bytes, the limit is {_MAX_WORKSPACE_BYTES}"
-        )
+    _refuse_over_limit(
+        _EDGE_ARRAYS * (n_bins + 1),
+        f"bin_width {bin_width} gives {n_bins:.3g} bins over [{events.min()}, "
+        f"{events.max()}]; binning and comparing them",
+    )
     counts = np.bincount((grid - first).astype(np.int64), minlength=int(n_bins))
     return Histogram(
         bin_width=bin_width,
         origin=(float(first) - 0.5) * bin_width,
-        counts=counts.astype(np.int64),
+        counts=counts.astype(np.int64, copy=False),
     )
 
 
@@ -177,27 +178,24 @@ def _grid(events, bin_width: float):
         return grid, first, grid.max() - first + 1.0
 
 
-def _cutoff(mean: float) -> int:
-    """The default Poisson cutoff ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
+def _refuse_over_limit(doubles, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``doubles`` float64 fit below the limit."""
+    if not 8 * doubles < _MAX_WORKSPACE_BYTES:
+        limit = _MAX_WORKSPACE_BYTES
+        raise ValueError(f"{what} needs {8 * doubles:.6g} bytes; the limit is {limit}")
 
-    Refuses a non-finite mean and one whose cutoff :func:`_bounded_l_max` refuses.
+
+def _cutoff(mean: float, l_max: int | None = None) -> int:
+    """``l_max``, by default ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
+
+    Refuses a non-finite mean for the default, and a cutoff whose
+    ``_WEIGHT_ARRAYS`` arrays of ``l_max + 1`` doubles reach the limit.
     """
-    if not math.isfinite(2.0 * float(mean)):
-        raise ValueError(f"mean {mean} gives no finite l_max")
-    return _bounded_l_max(max(20, math.ceil(2.0 * float(mean)) + 2))
-
-
-def _bounded_l_max(l_max: int) -> int:
-    """``l_max``, refused unless ``_WEIGHT_ARRAYS`` arrays of its weights stay below the limit.
-
-    Every array counts: ``_MAX_WORKSPACE_BYTES`` bounds the whole call, not one array.
-    """
-    if not _WEIGHT_ARRAYS * (l_max + 1) * 8 < _MAX_WORKSPACE_BYTES:
-        raise ValueError(
-            f"l_max {l_max} needs {_WEIGHT_ARRAYS * (l_max + 1) * 8} bytes for "
-            f"{_WEIGHT_ARRAYS} arrays of component weights; the limit is "
-            f"{_MAX_WORKSPACE_BYTES}"
-        )
+    if l_max is None:
+        if not math.isfinite(2.0 * float(mean)):
+            raise ValueError(f"mean {mean} gives no finite l_max")
+        l_max = max(20, math.ceil(2.0 * float(mean)) + 2)
+    _refuse_over_limit(_WEIGHT_ARRAYS * (l_max + 1), f"a call at l_max {l_max}")
     return l_max
 
 
@@ -215,8 +213,9 @@ class _Workspace:
     """Kernel buffers for one chunk of ``n_events`` events, reused across passes.
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
-    float buffer would reach ``_MAX_WORKSPACE_BYTES``, so every likelihood
-    pass has bounded memory whatever the cutoff. The buffers are laid out
+    pass would hold ``_MAX_WORKSPACE_BYTES`` or more, counting both buffers,
+    the weight and chunk arrays, and numpy's iterator buffer, which a
+    broadcast over a short event axis fills. The buffers are laid out
     component-major: a pass over ``k`` components of a chunk of ``c`` events
     views the first ``k * c`` cells of each as a C-contiguous ``(k, c)``
     array whose row ``j`` holds component ``lo + j`` of every event.
@@ -225,12 +224,10 @@ class _Workspace:
     def __init__(self, n_events: int, l_max: int):
         if not l_max >= 1:
             raise ValueError(f"l_max must be >= 1, got {l_max}")
-        cells = min(n_events, _EVENT_CHUNK) * (l_max + 1)
-        if cells * 8 >= _MAX_WORKSPACE_BYTES:
-            raise ValueError(
-                f"l_max {l_max} needs {cells * 8} bytes per E-step buffer for "
-                f"{n_events} events; the limit is {_MAX_WORKSPACE_BYTES}"
-            )
+        chunk = min(n_events, _EVENT_CHUNK)
+        cells = chunk * (l_max + 1)
+        _refuse_over_limit(2 * cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
+                           + np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
         self.ls = np.arange(l_max + 1.0)
         self.d = np.empty(cells)  # log-weights -> residuals x - l
         self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
@@ -348,7 +345,7 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
         raise ValueError(f"n must be > 0, got {n}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    l_max = _cutoff(n) if l_max is None else l_max
+    l_max = _cutoff(n, l_max)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     ws = _Workspace(x_arr.size, l_max)
     half_width = _band_half_width(n, sigma, l_max)
@@ -357,7 +354,9 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     for start in range(0, x_arr.size, _EVENT_CHUNK):
         chunk = x_arr[start : start + _EVENT_CHUNK]
         lse[start : start + chunk.size] = _chunk_softmax(chunk, log_w, sigma, ws, half_width)[3]
-    out = np.exp(lse - np.log(sigma) - _LOG_SQRT_2PI)
+    lse -= np.log(sigma)
+    lse -= _LOG_SQRT_2PI
+    out = np.exp(lse, out=lse)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -402,7 +401,7 @@ def _em_pass(events, n, sigma, l_max, ws=None):
     :class:`_Workspace` for these events and ``l_max``; without one the pass
     allocates its own.
     """
-    l_max = _cutoff(n) if l_max is None else l_max
+    l_max = _cutoff(n, l_max)
     if ws is None:
         ws = _Workspace(events.size, l_max)
     half_width = _band_half_width(n, sigma, l_max)
@@ -465,8 +464,8 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         Fewer than 50 events.
     ValueError
         A non-finite sample mean (a NaN or infinite event, or a sum that
-        overflows); an ``l_max`` below 1 or one whose E-step buffer would
-        reach ``_MAX_WORKSPACE_BYTES``; or a sample mean above ``l_max / 2``,
+        overflows); an ``l_max`` below 1 or one whose E-step would hold
+        ``_MAX_WORKSPACE_BYTES`` or more; or a sample mean above ``l_max / 2``,
         where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
         An EM map lowered the log-likelihood, ll1 < ll0 - 1e-8 (1 + |ll0|)
@@ -481,7 +480,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         sample_mean = float(np.mean(events))
     if not np.isfinite(sample_mean):
         raise ValueError(f"the sample mean of the events is {sample_mean}, not finite")
-    l_max = _cutoff(sample_mean) if l_max is None else l_max
+    l_max = _cutoff(sample_mean, l_max)
     ws = _Workspace(events.size, l_max)
     if sample_mean > l_max / 2.0:
         raise ValueError(
@@ -558,13 +557,9 @@ def _stderr_n(events, n, sigma, l_max) -> float:
     h_nn = (gn_p[0] - gn_m[0]) / (2 * h_n)
     h_ns = 0.5 * ((gn_p[1] - gn_m[1]) / (2 * h_n) + (gs_p[0] - gs_m[0]) / (2 * h_s))
     h_ss = (gs_p[1] - gs_m[1]) / (2 * h_s)
-    info = -np.array([[h_nn, h_ns], [h_ns, h_ss]])
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        return float("nan")
-    var_n = cov[0, 0]
-    return float(np.sqrt(var_n)) if var_n > 0 else float("nan")
+    det = h_nn * h_ss - h_ns * h_ns  # of -H, whose inverse holds var_n at (n, n)
+    var_n = -h_ss / det if det != 0.0 else math.nan
+    return math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan
 
 
 def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarray:
@@ -575,7 +570,7 @@ def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarr
     ``l + 1/2 + sigma^2 ln((l+1)/n)``; boundaries shift toward the
     lower-prior component.
     """
-    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
+    l_max = _cutoff(n, l_max)
     out = np.arange(1.0, l_max + 1.0)  # l + 1
     np.divide(out, n, out=out)
     np.log(out, out=out)
@@ -617,7 +612,7 @@ def discrimination_error(
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if mode not in ("nearest", "map"):
         raise ValueError(f"mode must be 'nearest' or 'map', got {mode!r}")
-    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
+    l_max = _cutoff(n, l_max)
     if mode == "nearest":
         q = special.ndtr(-0.5 / sigma)
         per_comp = np.full(l_max + 1, 2.0 * q)
@@ -669,9 +664,10 @@ def expected_bin_counts(
 
     The mixture CDF at the bin edges is summed into one buffer the length of
     the edges, component by component in ``l`` order, skipping components
-    whose weight underflows to 0 (they would add exactly 0).
+    whose weight underflows to 0 (they would add exactly 0). The result is
+    written into the term buffer, as ``build_histogram`` counts.
     """
-    l_max = _cutoff(n) if l_max is None else _bounded_l_max(l_max)
+    l_max = _cutoff(n, l_max)
     edges = hist.bin_edges
     weights = np.exp(_log_poisson_weights(n, l_max))
     cdf_at_edges = np.zeros(edges.size)
@@ -683,7 +679,8 @@ def expected_bin_counts(
         special.ndtr(term, out=term)
         np.multiply(term, w, out=term)
         np.add(cdf_at_edges, term, out=cdf_at_edges)
-    return hist.total * np.diff(cdf_at_edges)
+    counts = np.subtract(cdf_at_edges[1:], cdf_at_edges[:-1], out=term[:-1])
+    return np.multiply(counts, hist.total, out=counts)
 
 
 def goodness_of_fit(hist: Histogram, fit: MixtureFit) -> tuple[float, int]:

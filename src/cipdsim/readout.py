@@ -96,6 +96,9 @@ def _poisson_cdf_table(mu: float, name: str) -> np.ndarray:
 
     Refuses, before allocating, a table of ``_MAX_TABLE_BYTES`` or more, with
     a ``ValueError`` naming ``name``, the parameter that set the mean ``mu``.
+    The table is the only array the call holds: it is built in place on a
+    float grid (``pdtr`` computes in doubles), and a table too short is
+    freed before the next one, twice as long, is built.
     """
     # capped so that a huge or infinite mean still fails the size check
     kmax = int(min(mu + 12.0 * np.sqrt(mu) + 20.0, _MAX_TABLE_BYTES // 8))
@@ -105,9 +108,11 @@ def _poisson_cdf_table(mu: float, name: str) -> np.ndarray:
                 f"{name} gives a Poisson mean of {mu:.6g} carriers per frame; "
                 f"its sampling table would reach the limit of {_MAX_TABLE_BYTES} bytes"
             )
-        cdf = special.pdtr(np.arange(kmax + 1), mu)
+        cdf = np.arange(kmax + 1.0)
+        special.pdtr(cdf, mu, out=cdf)
         if 1.0 - cdf[-1] <= 1e-15:
             return cdf
+        del cdf
         kmax *= 2
 
 

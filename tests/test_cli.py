@@ -499,6 +499,23 @@ class TestSweep:
         assert code == 1
         assert repr(spec) in message
 
+    @pytest.mark.parametrize("spec", ["rep_rate_hz=1:2:1e-300", "rep_rate_hz=1:1e300:1e-300"])
+    def test_too_many_points_exit_1(self, tmp_path, capsys, spec):
+        code, message = main_error(capsys, "sweep", "--out", tmp_path / "sw", "--param", spec)
+        assert code == 1
+        assert repr(spec) in message and str(cli._MAX_TABLE_ROWS) in message
+        assert not (tmp_path / "sw").exists()
+
+    def test_grid_of_too_many_points_exit_1(self, tmp_path, capsys):
+        # 300 x 300 points: each --param alone is below the limit
+        specs = ["mean_photons=1:300:1", "rep_rate_hz=1:300:1"]
+        code, message = main_error(capsys, "sweep", "--out", tmp_path / "sw",
+                                   "--param", specs[0], "--param", specs[1])
+        assert code == 1
+        assert all(repr(spec) in message for spec in specs)
+        assert "90000" in message and str(cli._MAX_TABLE_ROWS) in message
+        assert not (tmp_path / "sw").exists()
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -575,9 +592,9 @@ class TestFitInputBounds:
         assert not (tmp_path / "f").exists()
 
     def test_l_max_bound_counts_one_event_chunk(self, tmp_path, capsys):
-        # the buffer holds min(N, chunk) events, so a cutoff that a full chunk
-        # cannot afford passes the check for a few events
-        l_max = estimation._MAX_WORKSPACE_BYTES // (8 * estimation._EVENT_CHUNK)
+        # each of the two buffers holds min(N, chunk) events, so a cutoff that
+        # a full chunk cannot afford passes the check for a few events
+        l_max = estimation._MAX_WORKSPACE_BYTES // (16 * estimation._EVENT_CHUNK)
         few = write_events(tmp_path / "few.txt")
         assert cli.main(["fit", str(few), "--out", str(tmp_path / "ok"),
                          "--l-max", str(l_max)]) == 0
@@ -599,7 +616,7 @@ class TestFitInputBounds:
         assert not (tmp_path / "f").exists()
 
 
-    @pytest.mark.parametrize("n_bins", [cli._MAX_HIST_BINS - 1, cli._MAX_HIST_BINS])
+    @pytest.mark.parametrize("n_bins", [cli._MAX_TABLE_ROWS - 1, cli._MAX_TABLE_ROWS])
     def test_bin_limit_counts_build_histogram_bins(self, tmp_path, capsys, monkeypatch,
                                                    n_bins):
         events = np.linspace(0.0, n_bins - 1.0, 60)
@@ -614,10 +631,10 @@ class TestFitInputBounds:
         code, message = main_error(capsys, "fit", path, "--out", tmp_path / "f",
                                    "--bin-width", "1")
         assert code == 1
-        if n_bins < cli._MAX_HIST_BINS:
+        if n_bins < cli._MAX_TABLE_ROWS:
             assert message == "reached the fit"
         else:
-            assert "--bin-width" in message and str(cli._MAX_HIST_BINS) in message
+            assert "--bin-width" in message and str(cli._MAX_TABLE_ROWS) in message
 
 
 class TestErrorContract:

@@ -44,6 +44,25 @@ def oracle_density(x, n, sigma, l_max=20):
     return float(np.sum(stats.poisson.pmf(ls, n) * stats.norm.pdf(x, ls, sigma)))
 
 
+def largest_accepted(call, accepted, refused):
+    """The largest size from ``accepted`` up to below ``refused`` that ``call`` accepts.
+
+    Bisects: ``call(accepted)`` must succeed, and ``call`` must refuse every
+    size from the first refused one up with a ``ValueError``.
+    """
+    call(accepted)
+    with pytest.raises(ValueError):
+        call(refused)
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        try:
+            call(mid)
+            accepted = mid
+        except ValueError:
+            refused = mid
+    return accepted
+
+
 class TestBuildHistogram:
     def test_small_example(self):
         h = build_histogram([0.0, 0.0, 1.0], 1.0)
@@ -89,10 +108,28 @@ class TestBuildHistogram:
         assert h.bin_centers[0] == pytest.approx(1e300)
 
     def test_bin_count_bound(self, monkeypatch):
+        # five arrays of 19 edges fit below 100 doubles, of 20 edges do not
         monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", 8 * 100)
-        assert len(build_histogram([0.0, 9.8], 0.1).counts) == 99
-        with pytest.raises(ValueError, match="100 bins over .* the limit is 800$"):
-            build_histogram([0.0, 9.9], 0.1)
+        assert estimation._EDGE_ARRAYS == 5
+        assert len(build_histogram([0.0, 1.7], 0.1).counts) == 18
+        with pytest.raises(ValueError, match="19 bins over .* the limit is 800$"):
+            build_histogram([0.0, 1.8], 0.1)
+
+    def test_peak_stays_below_the_limit(self, monkeypatch):
+        # a histogram at the largest bin count build_histogram accepts, and
+        # the model counts for it, together stay below the limit
+        limit = 1 << 20
+        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        n_bins = largest_accepted(lambda n: build_histogram([0.0, n - 1.0], 1.0), 1, limit // 8)
+        tracemalloc.start()
+        try:
+            hist = build_histogram([0.0, n_bins - 1.0], 1.0)
+            expected = expected_bin_counts(hist, 1.0, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hist.counts) == len(expected) == n_bins
+        assert peak < limit
 
     def test_700_events_modal_bin_near_low_integers(self):
         events = draw_mixture_events(1.07, 0.3, 700, seed=1)
@@ -537,9 +574,15 @@ class TestWorkspaceBound:
         monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
 
     def largest_l_max(self):
-        l_max = self.LIMIT // (8 * self.N_EVENTS) - 1
-        assert self.N_EVENTS * (l_max + 1) * 8 < self.LIMIT
-        assert self.N_EVENTS * (l_max + 2) * 8 >= self.LIMIT
+        # two buffers of N x (l_max + 1), the weight arrays, the chunk vectors
+        # and numpy's iterator buffer, in doubles
+        def doubles(l_max):
+            return ((2 * self.N_EVENTS + estimation._WEIGHT_ARRAYS) * (l_max + 1)
+                    + estimation._CHUNK_VECTORS * self.N_EVENTS + np.getbufsize())
+
+        fixed = doubles(-1)
+        l_max = (self.LIMIT // 8 - fixed - 1) // (doubles(0) - fixed) - 1
+        assert doubles(l_max) * 8 < self.LIMIT <= doubles(l_max + 1) * 8
         return l_max
 
     @pytest.mark.usefixtures("small_limit")
@@ -552,6 +595,24 @@ class TestWorkspaceBound:
         with pytest.raises(ValueError, match=f"l_max {l_max + 1} needs") as info:
             KERNEL_ENTRY_POINTS[entry](events, l_max + 1)
         assert str(self.LIMIT) in str(info.value)
+
+    @pytest.mark.usefixtures("small_limit")
+    @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
+    def test_peak_stays_below_the_limit(self, entry):
+        # at the largest cutoff the entry point accepts, both buffers and
+        # every array beside them count
+        events = draw_mixture_events(1.0, 0.3, self.N_EVENTS, seed=13)
+        call = KERNEL_ENTRY_POINTS[entry]
+        l_max = largest_accepted(lambda l_max: call(events, l_max), self.largest_l_max(),
+                                 self.LIMIT // 8)
+        tracemalloc.start()
+        try:
+            result = call(events, l_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result))
+        assert peak < self.LIMIT
 
     @pytest.mark.parametrize("l_max", [0, -3, 10**12])
     @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))

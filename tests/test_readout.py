@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +83,21 @@ def test_poisson_table_bound(monkeypatch):
     monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 8 * 181)
     with pytest.raises(ValueError, match="^mean_photons_at_fiber .* limit of 1448 bytes$"):
         simulate_run(cfg)
+
+
+def test_poisson_table_is_the_only_array_the_call_holds(monkeypatch):
+    # a mean of 125000 carriers needs int(125000 + 12*353.6 + 20) + 1 = 129263
+    # entries, 1034104 bytes, just below the limit
+    limit = 1 << 20
+    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", limit)
+    tracemalloc.start()
+    try:
+        cdf = readout._poisson_cdf_table(125000.0, "mean_photons_at_fiber")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cdf.size == 129263
+    assert peak < limit
 
 
 def test_leakage_rate_per_frame():
