@@ -50,12 +50,25 @@ from .estimation import (
     mixture_density,
 )
 from .noise import QuadratureError, cds_sigma
-from .readout import RunConfig, extract_events, frames_to_csv, simulate_run, write_table
+from . import readout
+from .readout import (
+    EVENTS_HEADER,
+    FRAMES_HEADER,
+    RunConfig,
+    simulate_chunks,
+    table_writer,
+    write_frames,
+    write_table,
+)
 from .source import mean_carriers
 
 #: The row limit of the tables: a fit's histogram has fewer bins (its fitted
 #: curve has five points a bin), a sweep grid at most this many points.
 _MAX_TABLE_ROWS = 1 << 16
+
+#: Arrays of one double a frame that ``simulate`` holds at its peak: the
+#: event column and the two of ``build_histogram``.
+_EVENT_ARRAYS = 3
 
 
 class _UsageError(ValueError):
@@ -168,13 +181,24 @@ def _cmd_simulate(args, dark: bool) -> int:
         source=source,
         seed=seed,
     )
-    run = simulate_run(run_cfg)
-    events = extract_events(run)
+    need = 8 * _EVENT_ARRAYS * n_frames
+    if not need < readout._MAX_TABLE_BYTES:
+        flag = "--frames" if args.frames is not None else "run.n_frames"
+        raise _UsageError(f"{flag} {n_frames} needs {need} bytes for its event arrays; "
+                          f"the limit is {readout._MAX_TABLE_BYTES}")
+    chunks = simulate_chunks(run_cfg)  # a refused input raises here, before any output
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames_to_csv(run, out_dir / "frames.csv")
-    write_table(out_dir / "events.csv", ("measured_delta_e",), events)
+    events = np.empty(n_frames)
+    n_events = 0
+    with table_writer(out_dir / "frames.csv", FRAMES_HEADER) as frames, \
+            table_writer(out_dir / "events.csv", EVENTS_HEADER) as event_rows:
+        for run in chunks:
+            kept = write_frames(frames, event_rows, run)
+            events[n_events : n_events + kept.size] = kept
+            n_events += kept.size
+    events = events[:n_events]
     # the 0.1 e and 1.0 e binnings stacked; no events: no columns, only the header
     hists = [build_histogram(events, w) for w in (0.1, 1.0)] if events.size else []
     parts = [(np.full(h.counts.size, h.bin_width), h.bin_centers, h.counts) for h in hists]
@@ -193,7 +217,7 @@ def _cmd_simulate(args, dark: bool) -> int:
         "sigma_e_used": run.sigma_e_used,
         "n_frames": n_frames,
         "n_events": int(events.size),
-        "n_resets": int(np.count_nonzero(run.reset)),
+        "n_resets": n_frames - n_events,
         "event_mean": float(np.mean(events)) if events.size else None,
         "event_std": float(np.std(events, ddof=1)) if events.size >= 2 else None,
     }

@@ -159,7 +159,9 @@ def build_histogram(events, bin_width: float) -> Histogram:
         f"bin_width {bin_width} gives {n_bins:.3g} bins over [{events.min()}, "
         f"{events.max()}]; binning and comparing them",
     )
-    counts = np.bincount((grid - first).astype(np.int64), minlength=int(n_bins))
+    # in place: the grid and its int64 cast are the only event-length arrays
+    grid -= first
+    counts = np.bincount(grid.astype(np.int64), minlength=int(n_bins))
     return Histogram(
         bin_width=bin_width,
         origin=(float(first) - 0.5) * bin_width,

@@ -19,11 +19,24 @@ whose cumulative charge reaches ``cum[i] + k``. A single searchsorted
 builds that successor for every frame, and the resets are the successor
 path from the first one, followed by pointer doubling in whole-array
 steps, so the pass costs O(n log n) rather than a search per reset.
+
+A run can be generated in chunks of frames (``simulate_chunks``) bit for
+bit: the uniforms of any frame range come from the counters alone, and the
+only value one chunk hands the next is the gate charge left at its end, the
+charge since the last reset (0 after a reset on its last frame). The next
+chunk adds that charge to its own cumulative charge, so its first reset is
+the first frame whose charge reaches ``k``, exactly as in one pass over the
+whole run, and ``k``'s cap by the chunk's largest charge (see
+``_carrier_threshold``) changes no reset: a chunk whose charge cannot reach
+``k`` has none. ``simulate_run`` is the one-chunk case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy import special
@@ -40,6 +53,14 @@ STREAM_NOISE = 0xC5
 #: A Poisson sampling table (one float64 per carrier count) must stay below
 #: this many bytes.
 _MAX_TABLE_BYTES = 1 << 28
+
+#: Frames that :func:`simulate_chunks` generates at a time by default.
+_CHUNK_FRAMES = 4096
+
+#: The headers of the per-frame and the event tables of a run.
+FRAMES_HEADER = ("frame_index", "true_carriers", "leakage_carriers",
+                 "accumulated_carriers", "measured_delta_e", "reset")
+EVENTS_HEADER = ("measured_delta_e",)
 
 
 @dataclass(frozen=True)
@@ -61,7 +82,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class FrameRun:
-    """Result of :func:`simulate_run`: per-frame columns plus the config."""
+    """Result of :func:`simulate_run`, or one chunk of :func:`simulate_chunks`.
+
+    Per-frame columns of frames ``first_frame .. first_frame + len - 1`` of
+    the run ``config`` describes, plus the noise sigma.
+    """
 
     config: RunConfig
     true_carriers: np.ndarray        # uint64, photo-carriers per frame
@@ -70,6 +95,7 @@ class FrameRun:
     measured_delta_e: np.ndarray     # float, CDS difference in electrons
     reset: np.ndarray                # bool
     sigma_e_used: float
+    first_frame: int = 0
 
     def __len__(self) -> int:
         return len(self.measured_delta_e)
@@ -116,16 +142,22 @@ def _poisson_cdf_table(mu: float, name: str) -> np.ndarray:
         kmax *= 2
 
 
-def _poisson_from_uniforms(mu: float, u: np.ndarray, name: str) -> np.ndarray:
-    """Inverse-CDF Poisson draws from per-frame uniforms.
+def _poisson_sampler(mu: float, name: str):
+    """Inverse-CDF Poisson draws from per-frame uniforms, as a function of them.
 
-    ``name`` is the parameter that sets ``mu``, for the table-size error.
+    The table is built, and refused (``name`` is the parameter that sets
+    ``mu``), here, once for every chunk of a run.
     """
     if mu <= 0:
-        return np.zeros(u.shape, dtype=np.uint64)
+        return lambda u: np.zeros(u.shape, dtype=np.uint64)
     cdf = _poisson_cdf_table(mu, name)
-    k = np.searchsorted(cdf, u, side="left")
-    return np.minimum(k, len(cdf) - 1).astype(np.uint64)
+    top = len(cdf) - 1
+
+    def sample(u):
+        k = np.searchsorted(cdf, u, side="left")
+        return np.minimum(k, top).astype(np.uint64)
+
+    return sample
 
 
 def _gaussian_from_uniforms(sigma: float, u: np.ndarray) -> np.ndarray:
@@ -156,11 +188,13 @@ def _reset_reduction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reset flags and gate charge from the cumulative charge ``cum``.
 
-    Frame ``j`` resets when its charge since the last reset reaches the
-    integer threshold ``k``. A reset at ``i`` clears ``cum[i]``, so the next
-    one is the first ``j`` with ``cum[j] >= cum[i] + k``: one searchsorted
-    over the int64 array gives that successor for every frame at once,
-    and the resets are the successor path from the first one.
+    ``cum`` counts from the charge on the gate before the first frame (0,
+    or the charge a previous chunk left). Frame ``j`` resets when its
+    charge since the last reset reaches the integer threshold ``k``. A
+    reset at ``i`` clears ``cum[i]``, so the next one is the first ``j``
+    with ``cum[j] >= cum[i] + k``: one searchsorted over the int64 array
+    gives that successor for every frame at once, and the resets are the
+    successor path from the first one.
 
     The path is followed by pointer doubling rather than one Python step
     per reset: each round appends the next ``len(path)`` resets with one
@@ -190,6 +224,53 @@ def _reset_reduction(
     return reset, cum - cleared[np.cumsum(reset) - reset]
 
 
+def simulate_chunks(cfg: RunConfig, chunk_frames: int = _CHUNK_FRAMES) -> Iterator[FrameRun]:
+    """The frames of :func:`simulate_run`, ``chunk_frames`` at a time, bit for bit.
+
+    Yields one :class:`FrameRun` per consecutive range of at most
+    ``chunk_frames`` frames, with ``first_frame`` its offset in the run; the
+    gate charge is carried across chunk boundaries (see the module notes).
+    The noise sigma and the sampling tables are computed, and a refused
+    mean raises, at the call, before the first chunk.
+    """
+    det = cfg.detector
+    sigma_e = cds_sigma(cfg.noise, det)
+    source = cfg.source if cfg.source is not None else PulseConfig(0.0)
+    signal = _poisson_sampler(mean_carriers(source, det), "mean_photons_at_fiber")
+    leakage = _poisson_sampler(det.leakage_rate / source.rep_rate, "leakage_rate")
+    vpc = volts_per_carrier(det)
+
+    def chunks():
+        charge = 0  # on the gate after the previous chunk
+        for start in range(0, cfg.n_frames, chunk_frames):
+            count = min(chunk_frames, cfg.n_frames - start)
+            true_c = signal(frame_uniforms(cfg.seed, STREAM_SIGNAL, start, count))
+            leak_c = leakage(frame_uniforms(cfg.seed, STREAM_LEAKAGE, start, count))
+            noise_e = _gaussian_from_uniforms(
+                sigma_e, frame_uniforms(cfg.seed, STREAM_NOISE, start, count)
+            )
+            added = (true_c + leak_c).astype(np.int64)
+            measured = added + noise_e
+            # exact integer threshold plus successor table: O(n log n)
+            cum = np.cumsum(added)
+            if charge:
+                cum += charge
+            reset, accumulated = _reset_reduction(cum, vpc, det.reset_threshold)
+            charge = 0 if reset[-1] else int(accumulated[-1])
+            yield FrameRun(
+                config=cfg,
+                true_carriers=true_c,
+                leakage_carriers=leak_c,
+                accumulated_carriers=accumulated,
+                measured_delta_e=measured,
+                reset=reset,
+                sigma_e_used=sigma_e,
+                first_frame=start,
+            )
+
+    return chunks()
+
+
 def simulate_run(cfg: RunConfig) -> FrameRun:
     """Simulate ``cfg.n_frames`` frames of accumulate / CDS-read / reset.
 
@@ -205,44 +286,10 @@ def simulate_run(cfg: RunConfig) -> FrameRun:
     at that source's frame rate; no source means ``PulseConfig(0.0)``, the
     default 40 Hz. A mean whose Poisson sampling table would reach
     ``_MAX_TABLE_BYTES`` raises ``ValueError`` naming
-    ``mean_photons_at_fiber`` or ``leakage_rate``.
+    ``mean_photons_at_fiber`` or ``leakage_rate``. The whole run is the one
+    chunk of :func:`simulate_chunks`.
     """
-    det = cfg.detector
-    n = cfg.n_frames
-    sigma_e = cds_sigma(cfg.noise, det)
-    source = cfg.source if cfg.source is not None else PulseConfig(0.0)
-
-    true_c = _poisson_from_uniforms(
-        mean_carriers(source, det),
-        frame_uniforms(cfg.seed, STREAM_SIGNAL, 0, n),
-        "mean_photons_at_fiber",
-    )
-    leak_c = _poisson_from_uniforms(
-        det.leakage_rate / source.rep_rate,
-        frame_uniforms(cfg.seed, STREAM_LEAKAGE, 0, n),
-        "leakage_rate",
-    )
-    noise_e = _gaussian_from_uniforms(
-        sigma_e, frame_uniforms(cfg.seed, STREAM_NOISE, 0, n)
-    )
-
-    added = (true_c + leak_c).astype(np.int64)
-    measured = added + noise_e
-
-    # exact integer threshold plus successor table: O(n log n)
-    reset, accumulated = _reset_reduction(
-        np.cumsum(added), volts_per_carrier(det), det.reset_threshold
-    )
-
-    return FrameRun(
-        config=cfg,
-        true_carriers=true_c,
-        leakage_carriers=leak_c,
-        accumulated_carriers=accumulated,
-        measured_delta_e=measured,
-        reset=reset,
-        sigma_e_used=sigma_e,
-    )
+    return next(simulate_chunks(cfg, cfg.n_frames))
 
 
 def extract_events(run: FrameRun) -> np.ndarray:
@@ -254,25 +301,63 @@ def extract_events(run: FrameRun) -> np.ndarray:
     return run.measured_delta_e[~run.reset]
 
 
-def write_table(path, header, *columns) -> None:
-    """Write ``columns`` under ``header``: the format of every CSV cipdsim writes.
+def _float_cells(column: np.ndarray) -> list[str]:
+    """Each double as the shortest decimal that round-trips it.
 
-    A float ndarray column holds the shortest decimal that round-trips each
-    double (``repr``; Steele & White 1990, Gay 1990), any other column
-    decimal integers (``%d``). Cells are joined by ``,``; every line, the
-    header too, ends in LF.
+    That is ``repr`` (Steele & White 1990, Gay 1990).
     """
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    fmt = ",".join("%r" if f else "%d" for f in floats) + "\n"
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return list(map(repr, column.tolist()))
+
+
+@contextmanager
+def table_writer(path, header):
+    """Open ``path`` as a CSV table under ``header``; yield ``write(*columns)``.
+
+    Each ``write`` appends the rows of its columns, so a table can be written
+    chunk by chunk. The format of every CSV cipdsim writes: a float ndarray
+    column holds its ``_float_cells``, a list column holds cells already
+    formatted, and any other column decimal integers (``%d``). Cells are
+    joined by ``,``; every line, the header too, ends in LF.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([fmt % row for row in rows]))
+
+        def write(*columns):
+            columns = [_float_cells(c) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                       else c for c in columns]
+            fmt = ",".join("%s" if isinstance(c, list) else "%d" for c in columns) + "\n"
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+            fh.write("".join([fmt % row for row in rows]))
+
+        yield write
+
+
+def write_table(path, header, *columns) -> None:
+    """Write ``columns`` under ``header`` as a :func:`table_writer` table."""
+    with table_writer(path, header) as write:
+        write(*columns)
+
+
+def _frame_columns(run: FrameRun, measured):
+    first = run.first_frame
+    return (range(first, first + len(run)), run.true_carriers, run.leakage_carriers,
+            run.accumulated_carriers, measured, run.reset)
 
 
 def frames_to_csv(run: FrameRun, path) -> None:
     """Write the per-frame record stream as a :func:`write_table` CSV."""
-    header = ("frame_index", "true_carriers", "leakage_carriers",
-              "accumulated_carriers", "measured_delta_e", "reset")
-    write_table(path, header, range(len(run)), run.true_carriers, run.leakage_carriers,
-                run.accumulated_carriers, run.measured_delta_e, run.reset)
+    write_table(path, FRAMES_HEADER, *_frame_columns(run, run.measured_delta_e))
+
+
+def write_frames(frames, events, run: FrameRun) -> np.ndarray:
+    """Append ``run``'s rows to a frames and an events table; return its events.
+
+    ``frames`` and ``events`` are the ``write`` of :func:`table_writer`
+    tables under ``FRAMES_HEADER`` and ``EVENTS_HEADER``; the events are
+    :func:`extract_events` of ``run``. Each measured value is formatted
+    once, for both tables.
+    """
+    cells = _float_cells(run.measured_delta_e)
+    frames(*_frame_columns(run, cells))
+    events(list(compress(cells, (~run.reset).tolist())))
+    return extract_events(run)

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from cipdsim import cli, default_config_path, estimation
+from cipdsim import cli, default_config_path, estimation, readout
 
 
 def run_cli(*args, cwd=None):
@@ -141,6 +142,50 @@ class TestSimulate:
         assert res.returncode == 1
         assert single_json_error(res)["message"].startswith(f"{name} gives a Poisson mean")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "dark"])
+    def test_frames_bound_refused_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        # three arrays of 8 bytes a frame: 999 frames fit below 24000 bytes, 1000 do not
+        monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 24 * 1000)
+        out = tmp_path / "o"
+        assert cli.main([command, "--frames", "999", "--out", str(out / "a"),
+                         "--no-timestamp"]) == 0
+        code, message = main_error(capsys, command, "--frames", 1000, "--out", out / "b")
+        assert code == 1
+        assert message == "--frames 1000 needs 24000 bytes for its event arrays; the limit is 24000"
+        assert not (out / "b").exists()
+
+    def test_frames_bound_at_the_real_limit(self, tmp_path, capsys, monkeypatch):
+        def reached(cfg):
+            raise ValueError("accepted")
+
+        monkeypatch.setattr(cli, "simulate_chunks", reached)
+        # 24 bytes a frame below 256 MiB: 11184810 frames, so 1e7 is accepted
+        for frames, accepted in [(10**7, True), (11184810, True), (11184811, False),
+                                 (3 * 10**9, False)]:
+            code, message = main_error(capsys, "simulate", "--frames", frames,
+                                       "--out", tmp_path / "o")
+            assert code == 1
+            assert (message == "accepted") == accepted, message
+            assert accepted or message.startswith(f"--frames {frames} needs ")
+        assert not (tmp_path / "o").exists()
+
+    def test_streamed_run_holds_the_event_column_not_the_frames(self, tmp_path):
+        # the frames are written in chunks: what a run holds at its peak is
+        # the event column and build_histogram's two arrays, 24 bytes a frame
+        cli.main(["simulate", "--frames", "100", "--out", str(tmp_path / "warm"),
+                  "--no-timestamp"])  # imports and the noise quadrature, untraced
+        frames = 200_000
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--frames", str(frames), "--seed", "5",
+                             "--out", str(tmp_path / "o"), "--no-timestamp"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 40 * frames
 
     def test_timestamp_written_without_flag(self, tmp_path):
         res = run_cli("simulate", "--out", tmp_path / "o", "--frames", "100")

@@ -131,6 +131,21 @@ class TestBuildHistogram:
         assert len(hist.counts) == len(expected) == n_bins
         assert peak < limit
 
+    def test_holds_two_arrays_of_the_events_length(self):
+        # the float grid and its int64 cast; the events are the caller's
+        events = draw_mixture_events(2.5, 0.3, 200_000, seed=21)
+        grid = np.floor((events + 0.05) / 0.1)
+        want = np.bincount((grid - grid.min()).astype(np.int64))
+        del grid
+        tracemalloc.start()
+        try:
+            hist = build_histogram(events, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.tobytes() == want.tobytes()
+        assert peak < 2.5 * events.nbytes
+
     def test_700_events_modal_bin_near_low_integers(self):
         events = draw_mixture_events(1.07, 0.3, 700, seed=1)
         h = build_histogram(events, 0.1)

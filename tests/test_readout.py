@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,16 @@ from cipdsim import (
 )
 from cipdsim import readout
 from cipdsim.cli import _read_events
-from cipdsim.readout import STREAM_SIGNAL, frames_to_csv, write_table
+from cipdsim.readout import (
+    EVENTS_HEADER,
+    FRAMES_HEADER,
+    STREAM_SIGNAL,
+    frames_to_csv,
+    simulate_chunks,
+    table_writer,
+    write_frames,
+    write_table,
+)
 
 
 def make_detector(leakage_per_hour=500.0, reset_threshold=30e-3):
@@ -322,6 +332,81 @@ class TestResetReduction:
         cfg = reduction_config(threshold_for_carriers(make_detector(), carriers),
                                mean_photons=mean_photons, n_frames=n_frames, seed=seed)
         assert_reduction_matches_reference(cfg)
+
+
+FRAME_COLUMNS = ("true_carriers", "leakage_carriers", "accumulated_carriers",
+                 "measured_delta_e", "reset")
+
+
+def chunk_case(case, n_frames):
+    """A run of ``n_frames`` in one reset regime, with read noise."""
+    det = make_detector()
+    thresholds = {
+        "boundary": threshold_for_carriers(det, 8),  # most frames reset, some carry over
+        "frequent": threshold_for_carriers(det, 1),  # every frame with a carrier
+        "dark": threshold_for_carriers(det, 3),
+        "never": 1e3,
+        "inf": np.inf,
+    }
+    if case == "late":
+        # one reset, past the middle: charge carried over several chunks
+        cfg = reduction_config(1e3, n_frames=n_frames, seed=11)
+        total = int(simulate_run(cfg).accumulated_carriers[-1])
+        threshold = threshold_for_carriers(det, 0.6 * total)
+    else:
+        threshold = thresholds[case]
+    cfg = reduction_config(threshold, n_frames=n_frames, seed=11,
+                           mean_photons=None if case == "dark" else 15.90625,
+                           leakage_per_hour=36000.0 if case == "dark" else 500.0)
+    return dataclasses.replace(cfg, noise=NoiseSpec.direct(0.3))
+
+
+class TestSimulateChunks:
+    """``simulate_chunks`` against the one-shot ``simulate_run``, bit for bit."""
+
+    @pytest.mark.parametrize("chunk_frames", [1, 7, 4096, 65536])
+    @pytest.mark.parametrize("case", ["boundary", "frequent", "dark", "never", "inf", "late"])
+    def test_chunks_join_to_the_whole_run(self, chunk_frames, case):
+        # at least two chunk boundaries at every chunk size
+        n_frames = max(1500, 2 * chunk_frames + 5)
+        cfg = chunk_case(case, n_frames)
+        whole = simulate_run(cfg)
+        chunks = list(simulate_chunks(cfg, chunk_frames))
+        assert [c.first_frame for c in chunks] == list(range(0, n_frames, chunk_frames))
+        assert all(c.sigma_e_used == whole.sigma_e_used for c in chunks)
+        for column in FRAME_COLUMNS:
+            joined = np.concatenate([getattr(c, column) for c in chunks])
+            assert joined.dtype == getattr(whole, column).dtype, column
+            assert joined.tobytes() == getattr(whole, column).tobytes(), column
+        resets = np.count_nonzero(whole.reset)
+        if case in ("never", "inf"):
+            assert resets == 0
+        elif case == "late":
+            assert resets == 1 and np.flatnonzero(whole.reset)[0] > chunk_frames
+        else:
+            assert resets > n_frames // {"frequent": 2, "boundary": 4, "dark": 20}[case]
+        if case == "boundary":
+            # a reset on the last frame of a chunk and on the first of the next
+            starts = np.arange(chunk_frames, n_frames, chunk_frames)
+            assert (whole.reset[starts - 1] & whole.reset[starts]).any()
+
+    def test_refused_mean_raises_at_the_call(self):
+        cfg = RunConfig(n_frames=10, detector=make_detector(),
+                        noise=NoiseSpec.direct(0.3), source=PulseConfig(1e300))
+        with pytest.raises(ValueError, match="^mean_photons_at_fiber"):
+            simulate_chunks(cfg)
+
+    def test_chunked_tables_equal_the_one_shot_writers(self, tmp_path):
+        cfg = chunk_case("boundary", 100)
+        run = simulate_run(cfg)
+        frames_to_csv(run, tmp_path / "frames.csv")
+        write_table(tmp_path / "events.csv", EVENTS_HEADER, extract_events(run))
+        with table_writer(tmp_path / "f.csv", FRAMES_HEADER) as frames, \
+                table_writer(tmp_path / "e.csv", EVENTS_HEADER) as events:
+            kept = [write_frames(frames, events, c) for c in simulate_chunks(cfg, 7)]
+        assert np.concatenate(kept).tobytes() == extract_events(run).tobytes()
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "frames.csv").read_bytes()
+        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
 
 
 def test_seed_determinism_bitwise(device, calibrated_noise):
