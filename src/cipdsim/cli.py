@@ -21,6 +21,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -373,17 +374,13 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"the grid of {' x '.join(map(repr, args.param))} has {points} "
                           f"points; the limit is {_MAX_TABLE_ROWS}")
 
-    keys = [k for k, _ in params]
-    grids = [g for _, g in params]
-    mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
-        (a, b) for a in grids[0] for b in grids[1]
-    ]
+    keys, grids = zip(*params)
 
     # the swept sigma_e passes through cds_sigma unchanged, so drop the
     # derived column rather than emit a duplicate header
     emit_sigma = "sigma_e" not in keys
     rows = []
-    for point in mesh:
+    for point in itertools.product(*grids):
         raw = copy.deepcopy(cfg.raw)
         for key, value in zip(keys, point):
             raw[KEY_SECTIONS[key]][key] = value

@@ -20,31 +20,37 @@ the plain EM step. Every function that sums over the components takes
 ``l_max=None`` for the cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson
 mean ``n`` (``_cutoff``).
 
-The E-step (and ``mixture_density``) runs over events in chunks of
-``_EVENT_CHUNK`` through one workspace (:class:`_Workspace`): a residual
-buffer ``d`` and a log-term buffer that is turned in place into exponentials
-and then responsibilities. ``fit_mixture`` allocates it once and every pass
-reuses it, so a pass allocates no float array of the chunk's size. Both
-buffers are component-major: ``(k, chunk)`` arrays whose row ``j`` holds
-component ``lo + j`` of every event. Each step of the pass is then one
-whole-block operation or one operation per component row, each a long
-contiguous vector over the events; the maximum, the sum and the
-responsibility sums over the components add one row at a time, in
-component order.
+Every likelihood pass (``fit_mixture``, ``log_likelihood``,
+``log_likelihood_grad``, ``mixture_density``) has one set-up, ``_passes``,
+which refuses an ``n`` or ``sigma`` not finite and above 0 with
+``ValueError``, and runs over events in chunks of ``_EVENT_CHUNK`` through
+one workspace (:class:`_Workspace`): a residual buffer ``d`` and a log-term
+buffer that is turned in place into exponentials and then responsibilities.
+``fit_mixture`` allocates it once and every pass reuses it, so a pass
+allocates no float array of the chunk's size. Both buffers are
+component-major: ``(k, chunk)`` arrays whose row ``j`` holds component
+``lo + j`` of every event. Each step of the pass is then one whole-block
+operation or one operation per component row, each a long contiguous vector
+over the events; the maximum, the sum and the responsibility sums over the
+components add one row at a time, in component order.
 
-Each event is evaluated only at the band of ``2B + 1`` components around
-its nearest integer that can reach its log-sum-exp (``_band_half_width``).
-``B`` grows with sigma and with the steepest step of the Poisson
-log-weights, and every component left out lies more than
-``37 + ln(l_max + 1)`` below the nearest kept one, so together they stay
-below half an ulp of the event's sum. At the usual sigma of a third of an
-electron that is 7 of the 21 or 31 components. Where the band would cover
-every component the pass evaluates all of them, with the same arithmetic as
-a plain full sum. One ``np.exp`` covers the whole buffer: banded cells lie
+Each event is evaluated only at the band of ``2B + 1`` components around its
+nearest integer that can reach its log-sum-exp (``_band_half_width``). ``B``
+grows with sigma and with the steepest step of the Poisson log-weights, and
+every component left out lies more than ``37 + ln(l_max + 1)`` below the
+nearest kept one, so together they stay below half an ulp of the event's
+sum. At the usual sigma of a third of an electron that is 7 of the 21 or 31
+components. Where the band would cover every component, the pass is the band
+of all ``l_max + 1`` components from ``lo = 0``, which gives the bits of a
+plain full sum. One ``np.exp`` covers the whole buffer: banded cells lie
 near their event's maximum, so numpy's slow subnormal results, common in
-full sums over steep weights, are rare there. No sum over the components goes
-through BLAS, whose rounding can change with its thread count, so the fit
-gives the same bytes for any thread count.
+full sums over steep weights, are rare there. No sum over the components
+goes through BLAS, whose rounding can change with its thread count, so the
+fit gives the same bytes for any thread count.
+
+``discrimination_error`` takes a mean of 0, a dark source: only the ``l = 0``
+component is left, so it gives ``ndtr(-0.5 / sigma)`` in nearest mode and 0
+in map mode.
 """
 
 from __future__ import annotations
@@ -202,11 +208,11 @@ def _cutoff(mean: float, l_max: int | None = None) -> int:
 
 
 def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
-    """``l ln n - n - ln l!`` for ``l = 0 .. l_max``, built in place in two arrays."""
+    """``l ln n - n - ln l!`` for ``l = 0 .. l_max``, in place; ``-n`` at 0 with no ``0 ln n``."""
     log_w = np.arange(l_max + 1.0)
     log_fact = log_w + 1.0
     special.gammaln(log_fact, out=log_fact)
-    np.multiply(log_w, np.log(n), out=log_w)
+    np.multiply(log_w[1:], np.log(n) if n != 0 else -np.inf, out=log_w[1:])
     np.subtract(log_w, n, out=log_w)
     return np.subtract(log_w, log_fact, out=log_w)
 
@@ -230,7 +236,6 @@ class _Workspace:
         cells = chunk * (l_max + 1)
         _refuse_over_limit(2 * cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
                            + np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
-        self.ls = np.arange(l_max + 1.0)
         self.d = np.empty(cells)  # log-weights -> residuals x - l
         self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
 
@@ -259,7 +264,7 @@ def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
     clipped centres and for events outside ``[0, l_max]`` alike.
     """
     two_var = 2.0 * sigma * sigma
-    if not (0.0 < n < np.inf and 0.0 < two_var < np.inf):
+    if not 0.0 < two_var < np.inf:
         return None
     g = max(abs(math.log(n)), abs(math.log(n) - math.log(l_max)))
     if not 2.0 * two_var * g + 1.0 < l_max + 1:
@@ -281,12 +286,13 @@ def _component_sum(rows):
     return total
 
 
-def _chunk_softmax(x, log_w, sigma, ws, half_width):
-    """Log-sum-exp over the components for one chunk ``x`` of events, component-major.
+def _chunk_softmax(x, log_w, sigma, ws, k):
+    """Log-sum-exp over a band of ``k`` components for one chunk ``x`` of events.
 
-    Event ``i`` is evaluated at the ``k`` components ``lo_i`` to
-    ``lo_i + k - 1``: every component (``lo`` None, read as 0) when
-    ``half_width`` is None, else the band of :func:`_band_half_width`.
+    Event ``i`` is evaluated at the ``k`` components from ``lo_i``, where
+    ``lo = clip(rint(x), h, l_max + 1 - k + h) - h`` and ``h = k // 2``: the
+    band of :func:`_band_half_width` for ``k = 2B + 1``, and every component,
+    from ``lo = 0``, for ``k = l_max + 1``.
     Fills ``ws`` in place and returns ``lo`` and ``(k, x.size)`` views
     ``(d, e)`` of its first ``k * x.size`` cells, whose row ``j`` holds
     component ``lo + j`` of every event: the residuals ``x - lo - j`` and the
@@ -297,30 +303,23 @@ def _chunk_softmax(x, log_w, sigma, ws, half_width):
     Every step is a whole-block operation or one per row, each over the
     contiguous event axis.
     """
-    if half_width is None:
-        lo, k = None, log_w.size
-    else:
-        k = 2 * half_width + 1
-        # fmax and fmin send a NaN event to a valid band; its column stays NaN
-        c = np.fmin(np.fmax(np.rint(x), half_width), log_w.size - 1 - half_width)
-        lo = c.astype(np.intp) - half_width
-        x = x - lo
+    half = k // 2
+    # fmax and fmin send a NaN event to a valid band; its column stays NaN
+    c = np.fmin(np.fmax(np.rint(x), half), log_w.size - k + half)
+    lo = c.astype(np.intp) - half
+    x = x - lo
     d = ws.d[: k * x.size].reshape(k, x.size)
     a = ws.a[: k * x.size].reshape(k, x.size)
-    if lo is None:
-        w = log_w[:, None]
-    else:
-        w = d
-        # lo + j <= l_max always; "clip" lets np.take write straight into out
-        for j in range(k):
-            np.take(log_w[j:], lo, out=d[j], mode="clip")
+    # lo + j <= l_max always; "clip" lets np.take write straight into out
+    for j in range(k):
+        np.take(log_w[j:], lo, out=d[j], mode="clip")
     for j in range(k):
         np.subtract(x, j, out=a[j])
     with np.errstate(over="ignore"):
         np.divide(a, sigma, out=a)
         np.square(a, out=a)
         np.multiply(a, 0.5, out=a)
-        np.subtract(w, a, out=a)
+        np.subtract(d, a, out=a)
     # d held the gathered log-weights until now
     for j in range(k):
         np.subtract(x, j, out=d[j])
@@ -336,26 +335,37 @@ def _chunk_softmax(x, log_w, sigma, ws, half_width):
     return lo, d, a, lse, s
 
 
+def _passes(events, n, sigma, l_max, ws=None):
+    """The iterator of :func:`_chunk_softmax` over the chunks of one pass at ``(n, sigma)``.
+
+    Checks ``n`` and ``sigma`` and sets the pass up when called, not at the first chunk.
+    """
+    for name, value in (("n", n), ("sigma", sigma)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    l_max = _cutoff(n, l_max)
+    if ws is None:
+        ws = _Workspace(events.size, l_max)
+    half_width = _band_half_width(n, sigma, l_max)
+    k = l_max + 1 if half_width is None else 2 * half_width + 1
+    log_w = _log_poisson_weights(n, l_max)
+    return (_chunk_softmax(events[start : start + _EVENT_CHUNK], log_w, sigma, ws, k)
+            for start in range(0, events.size, _EVENT_CHUNK))
+
+
 def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     """Poisson-weighted Gaussian mixture density at ``x`` (per electron).
 
     Computed in log space so that large ``l_max`` and far tails do not
     underflow term-by-term. The density integrates to the Poisson mass below
-    the cutoff (slightly less than 1), matching the truncated sum.
+    the cutoff (slightly less than 1), matching the truncated sum. Raises
+    ``ValueError`` for an ``n`` or ``sigma`` that is not finite and above 0.
     """
-    if not n > 0:
-        raise ValueError(f"n must be > 0, got {n}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    l_max = _cutoff(n, l_max)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    ws = _Workspace(x_arr.size, l_max)
-    half_width = _band_half_width(n, sigma, l_max)
-    log_w = _log_poisson_weights(n, l_max)
+    chunks = _passes(x_arr, n, sigma, l_max)
     lse = np.empty(x_arr.size)
-    for start in range(0, x_arr.size, _EVENT_CHUNK):
-        chunk = x_arr[start : start + _EVENT_CHUNK]
-        lse[start : start + chunk.size] = _chunk_softmax(chunk, log_w, sigma, ws, half_width)[3]
+    for i, (_, _, _, chunk_lse, _) in enumerate(chunks):
+        lse[i * _EVENT_CHUNK : (i + 1) * _EVENT_CHUNK] = chunk_lse
     lse -= np.log(sigma)
     lse -= _LOG_SQRT_2PI
     out = np.exp(lse, out=lse)
@@ -366,18 +376,16 @@ def log_likelihood(events, n: float, sigma: float, l_max: int | None = None) -> 
     """Total log-likelihood of the events under the mixture.
 
     Uses log-sum-exp per event. If any event's density underflows to zero
-    the function warns and returns ``-inf``.
+    the function warns and returns ``-inf``. Raises ``ValueError`` for an
+    ``n`` or ``sigma`` that is not finite and above 0.
     """
     events = np.asarray(events, dtype=float)
     if events.size == 0:
         raise InsufficientDataError("log_likelihood needs at least one event")
     ll, _, _ = _em_pass(events, n, sigma, l_max)
     if ll == float("-inf"):
-        warnings.warn(
-            "mixture density underflowed to zero for some events",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn("mixture density underflowed to zero for some events", RuntimeWarning,
+                      stacklevel=2)
     return ll
 
 
@@ -387,7 +395,8 @@ def log_likelihood_grad(
     """Gradient of :func:`log_likelihood` with respect to ``(n, sigma)``.
 
     Closed form in the EM statistics: ``sum(r l)/n - N`` and
-    ``sum(r d^2)/sigma^3 - N/sigma`` for ``N`` events.
+    ``sum(r d^2)/sigma^3 - N/sigma`` for ``N`` events. Raises ``ValueError``
+    for an ``n`` or ``sigma`` that is not finite and above 0.
     """
     events = np.asarray(events, dtype=float)
     _, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max)
@@ -403,26 +412,17 @@ def _em_pass(events, n, sigma, l_max, ws=None):
     :class:`_Workspace` for these events and ``l_max``; without one the pass
     allocates its own.
     """
-    l_max = _cutoff(n, l_max)
-    if ws is None:
-        ws = _Workspace(events.size, l_max)
-    half_width = _band_half_width(n, sigma, l_max)
-    log_w = _log_poisson_weights(n, l_max)
+    chunks = _passes(events, n, sigma, l_max, ws)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
-    ll = 0.0
-    sum_rl = 0.0
-    sum_rsq = 0.0
-    for start in range(0, events.size, _EVENT_CHUNK):
-        chunk = events[start : start + _EVENT_CHUNK]
-        lo, d, r, lse, s = _chunk_softmax(chunk, log_w, sigma, ws, half_width)
+    ll = sum_rl = sum_rsq = 0.0
+    for lo, d, r, lse, s in chunks:
         with np.errstate(invalid="ignore"):
             np.divide(r, s, out=r)
         r[:, s == 0.0] = 0.0
         ll += float(np.sum(lse + log_norm))
         # sum(r l) = sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
-        sum_rl += float(np.sum(np.sum(r, axis=1) * ws.ls[: r.shape[0]]))
-        if lo is not None:
-            sum_rl += float(np.sum(lo * _component_sum(r)))
+        sum_rl += float(np.sum(np.sum(r, axis=1) * np.arange(r.shape[0])))
+        sum_rl += float(np.sum(lo * _component_sum(r)))
         # (r * d) * d, not r * d**2: the sum must see the same roundings
         np.multiply(r, d, out=r)
         np.multiply(r, d, out=r)
@@ -443,7 +443,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     ll0 and its image t1. A pass at t1 gives ll1 and t2. With r = t1 - t0,
     v = t2 - t1 - r and the step length a = min(-|r|/|v|, -1), the cycle
     proposes t0 - 2 a r + a^2 v and runs a pass there. The proposal is
-    accepted if n >= ``_N_FLOOR``, sigma >= ``SIGMA_FLOOR`` and its
+    accepted if n >= ``_N_FLOOR`` and sigma >= ``SIGMA_FLOOR`` are finite and its
     log-likelihood is at least ll1; otherwise a becomes (a - 1)/2 and the
     cycle proposes again. Once a is above ``_SQUAREM_EM_ALPHA`` (-1.01) the
     cycle takes t2, the plain EM step (a = -1), whose log-likelihood is
@@ -475,9 +475,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     """
     events = np.asarray(events, dtype=float)
     if events.size < 50:
-        raise InsufficientDataError(
-            f"fit_mixture needs >= 50 events, got {events.size}"
-        )
+        raise InsufficientDataError(f"fit_mixture needs >= 50 events, got {events.size}")
     with np.errstate(over="ignore"):
         sample_mean = float(np.mean(events))
     if not np.isfinite(sample_mean):
@@ -524,7 +522,8 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         while passes < _EM_ITERATIONS:
             em_step = alpha > _SQUAREM_EM_ALPHA
             proposal = image2 if em_step else theta - 2.0 * alpha * r + alpha**2 * v
-            if em_step or (proposal[0] >= _N_FLOOR and proposal[1] >= SIGMA_FLOOR):
+            if em_step or (_N_FLOOR <= proposal[0] < np.inf
+                           and SIGMA_FLOOR <= proposal[1] < np.inf):
                 ll_new, image_new = em_map(proposal)
                 if em_step:
                     check_increase(ll_image, ll_new)
@@ -574,7 +573,8 @@ def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarr
     """
     l_max = _cutoff(n, l_max)
     out = np.arange(1.0, l_max + 1.0)  # l + 1
-    np.divide(out, n, out=out)
+    with np.errstate(divide="ignore"):  # n = 0 puts every boundary at +inf
+        np.divide(out, n, out=out)
     np.log(out, out=out)
     np.multiply(out, sigma**2, out=out)
     return np.add(out, np.arange(0.5, l_max), out=out)
@@ -606,8 +606,11 @@ def discrimination_error(
     Averages ``Pr[classify(l + eps) != l]`` over the Poisson weights, with
     ``eps`` Gaussian of width ``sigma``; closed form via the normal CDF.
     In nearest mode the l=0 component can only err upward (negative values
-    round to zero).
+    round to zero), and at ``n = 0``, the only one left, gives ``ndtr(-0.5 / sigma)``; map
+    mode gives 0 there. Raises ``ValueError`` for an ``n`` not finite and at least 0.
     """
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n}")
     if sigma == 0:
         return 0.0
     if not sigma > 0:

@@ -518,6 +518,18 @@ class TestSweep:
         for _, sigma_e, _, derr in rows:
             assert abs(derr - 2.0 * special.ndtr(-0.5 / sigma_e)) < 1e-3
 
+    def test_dark_point_is_finite_and_silent(self, tmp_path):
+        # at mean_photons = 0 only the l = 0 component is left; it errs upward
+        out = tmp_path / "sw"
+        res = run_cli("sweep", "--out", out, "--param", "mean_photons=0:1:0.5")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        text = (out / "sweep.csv").read_text()
+        assert "nan" not in text
+        mean, sigma_e, _, derr = map(float, text.splitlines()[1].split(","))
+        assert mean == 0.0
+        assert derr == special.ndtr(-0.5 / sigma_e)
+
     def test_two_parameter_grid(self, tmp_path):
         out = tmp_path / "sw"
         res = run_cli(

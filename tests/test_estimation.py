@@ -568,14 +568,32 @@ class TestSquarem:
         assert capped.log_likelihood < full.log_likelihood
 
 
+#: The likelihood entry points that take a point ``(n, sigma)``.
+POINT_ENTRY_POINTS = {
+    "log_likelihood": log_likelihood,
+    "log_likelihood_grad": log_likelihood_grad,
+    "mixture_density": mixture_density,
+}
+
 #: Every estimator entry point that runs the likelihood kernel, called on
-#: ``events`` with the cutoff ``l_max``.
+#: ``events`` with the cutoff ``l_max`` (at ``n = 1``, ``sigma = 0.3``).
 KERNEL_ENTRY_POINTS = {
     "fit_mixture": lambda events, l_max: fit_mixture(events, l_max=l_max).log_likelihood,
-    "log_likelihood": lambda events, l_max: log_likelihood(events, 1.0, 0.3, l_max),
-    "log_likelihood_grad": lambda events, l_max: log_likelihood_grad(events, 1.0, 0.3, l_max),
-    "mixture_density": lambda events, l_max: mixture_density(events, 1.0, 0.3, l_max),
+    **{name: lambda events, l_max, f=f: f(events, 1.0, 0.3, l_max)
+       for name, f in POINT_ENTRY_POINTS.items()},
 }
+
+
+@pytest.mark.parametrize("n, sigma", [*((n, 0.3) for n in (0.0, -1.0, np.nan, np.inf)),
+                                      *((1.0, s) for s in (0.0, -0.3, np.nan, np.inf))])
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
+def test_point_entry_points_refuse_bad_parameters(entry, n, sigma):
+    # one check for all three, before any numpy warning or division
+    events = draw_mixture_events(1.0, 0.3, 100, seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            POINT_ENTRY_POINTS[entry](events, n, sigma)
 
 
 class TestWorkspaceBound:
@@ -612,14 +630,24 @@ class TestWorkspaceBound:
         assert str(self.LIMIT) in str(info.value)
 
     @pytest.mark.usefixtures("small_limit")
-    @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
-    def test_peak_stays_below_the_limit(self, entry):
+    @pytest.mark.parametrize("entry, sigma", [
+        *(pytest.param(entry, None, id=entry) for entry in sorted(KERNEL_ENTRY_POINTS)),
+        *(pytest.param(entry, 5.0, id=f"{entry}-full-band") for entry in sorted(POINT_ENTRY_POINTS)),
+    ])
+    def test_peak_stays_below_the_limit(self, entry, sigma):
         # at the largest cutoff the entry point accepts, both buffers and
-        # every array beside them count
+        # every array beside them count; at sigma 5 the band is every
+        # component, with its band start and shifted events beside them
         events = draw_mixture_events(1.0, 0.3, self.N_EVENTS, seed=13)
-        call = KERNEL_ENTRY_POINTS[entry]
+        if sigma is None:
+            call = KERNEL_ENTRY_POINTS[entry]
+        else:
+            def call(events, l_max):
+                return POINT_ENTRY_POINTS[entry](events, 1.0, sigma, l_max)
         l_max = largest_accepted(lambda l_max: call(events, l_max), self.largest_l_max(),
                                  self.LIMIT // 8)
+        if sigma is not None:
+            assert estimation._band_half_width(1.0, sigma, l_max) is None
         tracemalloc.start()
         try:
             result = call(events, l_max)
@@ -784,6 +812,21 @@ class TestDiscriminationError:
             assert discrimination_error(n, 0.3, "map") <= discrimination_error(
                 n, 0.3, "nearest"
             ) + 1e-12
+
+    def test_dark_source(self):
+        # only the l = 0 component is left: it errs upward in nearest mode and
+        # never in map mode, whose boundaries are all at +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert discrimination_error(0.0, 0.25, "nearest") == special.ndtr(-0.5 / 0.25)
+            assert discrimination_error(0.0, 0.25, "map") == 0.0
+            assert np.all(map_boundaries(0.0, 0.25) == np.inf)
+
+    @pytest.mark.parametrize("n", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["nearest", "map"])
+    def test_bad_mean_rejected(self, mode, n):
+        with pytest.raises(ValueError, match="n must be finite and >= 0"):
+            discrimination_error(n, 0.3, mode, l_max=20)
 
     @pytest.mark.parametrize("mode", ["nearest", "map"])
     def test_monotone_in_sigma(self, mode):
