@@ -10,13 +10,20 @@ shared width ``sigma`` set by the readout noise,
 Only ``(n, sigma)`` are free: the component means are pinned to the integer
 electron grid (gain calibration happens upstream, so the x axis is already
 in electrons) and the weights are tied through the single Poisson mean.
-Fitting is expectation-maximization on the component responsibilities, which
-has closed-form updates for both parameters and monotone log-likelihood.
-EM converges linearly, at the rate of the fraction of missing information,
-which approaches 1 as the peaks overlap, so ``fit_mixture`` accelerates it
-with SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35:335), a quadratic
-extrapolation built from two EM maps and kept monotone by backtracking to
-the plain EM step. Every function that sums over the components takes
+Fitting climbs the log-likelihood from one E-step to the next. Each E-step
+gives, besides the log-likelihood, the expectation-maximization (EM) image
+of the point, which has closed-form updates for both parameters and never
+lowers the log-likelihood, and the 2x2 observed information, which follows
+from moments of the component responsibilities by Louis's identity (Louis
+1982, J. R. Stat. Soc. B 44:226). ``fit_mixture`` takes Newton steps on it
+where it is positive definite and the step raises the log-likelihood, and
+otherwise falls back to EM accelerated with SQUAREM (Varadhan & Roland 2008,
+Scand. J. Stat. 35:335), an EM/Newton hybrid in the manner of Jamshidian &
+Jennrich (1997, J. R. Stat. Soc. B 59:569). Plain EM converges linearly, at
+the rate of the fraction of missing information, which approaches 1 as the
+peaks overlap; the Newton steps converge quadratically, and the information
+at the returned point gives the standard error of ``n`` without a pass of
+its own. Every function that sums over the components takes
 ``l_max=None`` for the cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson
 mean ``n`` (``_cutoff``).
 
@@ -24,10 +31,12 @@ Every likelihood pass (``fit_mixture``, ``log_likelihood``,
 ``log_likelihood_grad``, ``mixture_density``) has one set-up, ``_passes``,
 which refuses an ``n`` or ``sigma`` not finite and above 0 with
 ``ValueError``, and runs over events in chunks of ``_EVENT_CHUNK`` through
-one workspace (:class:`_Workspace`): a residual buffer ``d`` and a log-term
-buffer that is turned in place into exponentials and then responsibilities.
-``fit_mixture`` allocates it once and every pass reuses it, so a pass
-allocates no float array of the chunk's size. Both buffers are
+one workspace (:class:`_Workspace`): a residual buffer ``d``, a log-term
+buffer that is turned in place into exponentials and then responsibilities,
+and ``_PASS_VECTORS`` chunk vectors that hold the pass's per-event
+values, the moments of the information among them. ``fit_mixture``
+allocates it once and every pass reuses it, so a pass allocates no float
+array of the chunk's size. Both buffers are
 component-major: ``(k, chunk)`` arrays whose row ``j`` holds component
 ``lo + j`` of every event. Each step of the pass is then one whole-block
 operation or one operation per component row, each a long contiguous vector
@@ -45,8 +54,9 @@ of all ``l_max + 1`` components from ``lo = 0``, which gives the bits of a
 plain full sum. One ``np.exp`` covers the whole buffer: banded cells lie
 near their event's maximum, so numpy's slow subnormal results, common in
 full sums over steep weights, are rare there. No sum over the components
-goes through BLAS, whose rounding can change with its thread count, so the
-fit gives the same bytes for any thread count.
+goes through BLAS, whose rounding can change with its thread count, and the
+Newton step solves its 2x2 system in closed form, so the fit gives the same
+bytes for any thread count.
 
 ``discrimination_error`` takes a mean of 0, a dark source: only the ``l = 0``
 component is left, so it gives ``ndtr(-0.5 / sigma)`` in nearest mode and 0
@@ -76,16 +86,19 @@ _EVENT_CHUNK = 1 << 16
 #: of one value per event do not count. Counted per call, with room for the
 #: small arrays beside them: ``_WEIGHT_ARRAYS`` of ``l_max + 1`` doubles (at
 #: most four held), ``_CHUNK_VECTORS`` of a likelihood pass's chunk beside
-#: its two buffers (at most seven) and ``_EDGE_ARRAYS`` the length of the bin
-#: edges (at most four: the counts, edges, CDF and term buffer).
+#: its two buffers (the workspace's ``_PASS_VECTORS`` and at most two more)
+#: and ``_EDGE_ARRAYS`` the length of the bin edges (at most four: the
+#: counts, edges, CDF and term buffer).
 _MAX_WORKSPACE_BYTES = 1 << 28
 _WEIGHT_ARRAYS = 4
 _CHUNK_VECTORS = 8
+_PASS_VECTORS = 6
 _EDGE_ARRAYS = 5
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-#: The fit stops once two accepted points differ in log-likelihood by less
-#: than this, or after ``_EM_ITERATIONS`` passes.
+#: The fit stops once the Newton decrement ``g^T I^-1 g / 2`` of an accepted
+#: point, or the log-likelihood gained between two accepted points, is
+#: below this, or after ``_EM_ITERATIONS`` passes.
 _EM_TOL = 1e-8
 _EM_ITERATIONS = 500
 #: A SQUAREM step length above this is taken as -1, the plain EM step.
@@ -134,7 +147,13 @@ class Histogram:
 
 @dataclass(frozen=True)
 class MixtureFit:
-    """Result of :func:`fit_mixture`."""
+    """Result of :func:`fit_mixture`.
+
+    ``n_iterations`` counts the E-step passes; ``stderr_n`` is the asymptotic
+    standard error of ``n_hat``, ``sqrt((I^-1)_nn)`` of the observed
+    information ``I`` at the returned point, NaN where that is not a
+    positive number.
+    """
 
     n_hat: float
     sigma_hat: float
@@ -222,7 +241,8 @@ class _Workspace:
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
     pass would hold ``_MAX_WORKSPACE_BYTES`` or more, counting both buffers,
-    the weight and chunk arrays, and numpy's iterator buffer, which a
+    the weight and chunk arrays (the ``_PASS_VECTORS`` chunk vectors of
+    ``vectors`` among them), and numpy's iterator buffer, which a
     broadcast over a short event axis fills. The buffers are laid out
     component-major: a pass over ``k`` components of a chunk of ``c`` events
     views the first ``k * c`` cells of each as a C-contiguous ``(k, c)``
@@ -236,6 +256,9 @@ class _Workspace:
         cells = chunk * (l_max + 1)
         _refuse_over_limit(2 * cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
                            + np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
+        # the vectors first: below the buffers on the heap, they keep no freed
+        # buffer from going back to the system
+        self.vectors = np.empty(_PASS_VECTORS * chunk)  # event vectors, then the moments
         self.d = np.empty(cells)  # log-weights -> residuals x - l
         self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
 
@@ -278,12 +301,12 @@ def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
     return None
 
 
-def _component_sum(rows):
-    """The sum of the rows of a ``(k, c)`` array, added one row at a time in row order."""
-    total = rows[0].copy()
+def _component_sum(rows, out):
+    """The sum of the rows of a ``(k, c)`` array into ``out``, added one row at a time, in order."""
+    np.copyto(out, rows[0])
     for row in rows[1:]:
-        np.add(total, row, out=total)
-    return total
+        np.add(out, row, out=out)
+    return out
 
 
 def _chunk_softmax(x, log_w, sigma, ws, k):
@@ -299,22 +322,30 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
     shifted exponentials ``exp(a - m)`` of the log-terms ``a`` (``m`` the
     event's largest log-term, 0 where it is not finite). Also returns the
     event vectors ``(lse, s)``, ``s`` the sum of the rows of ``e`` in row
-    order. Events whose log-terms are all -inf get lse = -inf and s = 0.
-    Every step is a whole-block operation or one per row, each over the
-    contiguous event axis.
+    order, and ``vectors``, the ``(_PASS_VECTORS, x.size)`` view of the
+    workspace's chunk vectors, which hold every event vector of the pass:
+    ``s`` and ``lse`` are its rows 0 and 1, valid until the next row
+    operation on them. Events whose log-terms are all -inf get lse = -inf and
+    s = 0. Every step is a whole-block operation or one per row, each over
+    the contiguous event axis.
     """
     half = k // 2
+    vectors = ws.vectors[: _PASS_VECTORS * x.size].reshape(_PASS_VECTORS, x.size)
+    s, lse, shifted, m = vectors[:4]
     # fmax and fmin send a NaN event to a valid band; its column stays NaN
-    c = np.fmin(np.fmax(np.rint(x), half), log_w.size - k + half)
-    lo = c.astype(np.intp) - half
-    x = x - lo
+    c = np.rint(x, out=m)
+    np.fmax(c, half, out=c)
+    np.fmin(c, log_w.size - k + half, out=c)
+    lo = c.astype(np.intp)
+    lo -= half
+    np.subtract(x, lo, out=shifted)
     d = ws.d[: k * x.size].reshape(k, x.size)
     a = ws.a[: k * x.size].reshape(k, x.size)
     # lo + j <= l_max always; "clip" lets np.take write straight into out
     for j in range(k):
         np.take(log_w[j:], lo, out=d[j], mode="clip")
     for j in range(k):
-        np.subtract(x, j, out=a[j])
+        np.subtract(shifted, j, out=a[j])
     with np.errstate(over="ignore"):
         np.divide(a, sigma, out=a)
         np.square(a, out=a)
@@ -322,17 +353,18 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
         np.subtract(d, a, out=a)
     # d held the gathered log-weights until now
     for j in range(k):
-        np.subtract(x, j, out=d[j])
-    m = a[0].copy()
+        np.subtract(shifted, j, out=d[j])
+    np.copyto(m, a[0])
     for j in range(1, k):
         np.maximum(m, a[j], out=m)
     m[~np.isfinite(m)] = 0.0
     np.subtract(a, m, out=a)
     np.exp(a, out=a)
-    s = _component_sum(a)
+    _component_sum(a, s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lse = m + np.log(s)
-    return lo, d, a, lse, s
+        np.log(s, out=lse)
+    np.add(m, lse, out=lse)
+    return lo, d, a, lse, s, vectors
 
 
 def _passes(events, n, sigma, l_max, ws=None):
@@ -364,7 +396,7 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     chunks = _passes(x_arr, n, sigma, l_max)
     lse = np.empty(x_arr.size)
-    for i, (_, _, _, chunk_lse, _) in enumerate(chunks):
+    for i, (_, _, _, chunk_lse, _, _) in enumerate(chunks):
         lse[i * _EVENT_CHUNK : (i + 1) * _EVENT_CHUNK] = chunk_lse
     lse -= np.log(sigma)
     lse -= _LOG_SQRT_2PI
@@ -400,65 +432,183 @@ def log_likelihood_grad(
     """
     events = np.asarray(events, dtype=float)
     _, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max)
-    return sum_rl / n - events.size, sum_rsq / sigma**3 - events.size / sigma
+    return _gradient(events.size, n, sigma, sum_rl, sum_rsq)
 
 
-def _em_pass(events, n, sigma, l_max, ws=None):
+def _gradient(size, n, sigma, sum_rl, sum_rsq):
+    """The score ``(sum(r l)/n - N, (sum(r d^2)/sigma^2 - N)/sigma``), with no power of sigma."""
+    return sum_rl / n - size, (sum_rsq / sigma / sigma - size) / sigma
+
+
+def _em_pass(events, n, sigma, l_max, ws=None, information=False):
     """One E-step: log-likelihood plus the sufficient statistics.
 
     Returns ``(ll, sum(r l), sum(r d^2))`` over responsibilities ``r`` and
-    residuals ``d = x - l``. Chunks come in a fixed order, so the sums do not
-    depend on how the event array was produced. ``ws`` is a
-    :class:`_Workspace` for these events and ``l_max``; without one the pass
-    allocates its own.
+    residuals ``d = x - l``; with ``information``, the observed information
+    ``(i_nn, i_ns, i_ss)`` of ``(n, sigma)`` at this point follows as a
+    fourth item (:func:`_information_terms`). Chunks come in a fixed order,
+    so the sums do not depend on how the event array was produced. ``ws`` is
+    a :class:`_Workspace` for these events and ``l_max``; without one the
+    pass allocates its own.
     """
     chunks = _passes(events, n, sigma, l_max, ws)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
     ll = sum_rl = sum_rsq = 0.0
-    for lo, d, r, lse, s in chunks:
+    terms = [0.0, 0.0, 0.0]
+    for lo, d, r, lse, s, vectors in chunks:
         with np.errstate(invalid="ignore"):
             np.divide(r, s, out=r)
         r[:, s == 0.0] = 0.0
-        ll += float(np.sum(lse + log_norm))
+        ll += float(np.sum(np.add(lse, log_norm, out=lse)))
         # sum(r l) = sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
         sum_rl += float(np.sum(np.sum(r, axis=1) * np.arange(r.shape[0])))
-        sum_rl += float(np.sum(lo * _component_sum(r)))
+        sum_rl += float(np.sum(np.multiply(_component_sum(r, s), lo, out=s)))
+        if information:
+            for i, term in enumerate(_information_terms(lo, d, r, n, sigma, vectors)):
+                terms[i] += term
         # (r * d) * d, not r * d**2: the sum must see the same roundings
         np.multiply(r, d, out=r)
         np.multiply(r, d, out=r)
         sum_rsq += float(np.sum(r))
-    return ll, sum_rl, sum_rsq
+    if not information:
+        return ll, sum_rl, sum_rsq
+    sum_nn, sum_cov, sum_ss = terms
+    # each division by sigma on its own, so no power of it overflows
+    info = (sum_nn / n / n, -sum_cov / n, (sum_ss - events.size) / sigma / sigma)
+    return ll, sum_rl, sum_rsq, info
+
+
+def _information_terms(lo, d, r, n, sigma, vectors):
+    """One chunk's sums for the observed information (Louis 1982), ``r`` unchanged.
+
+    The responsibilities ``r`` of the ``k`` band rows give each event the
+    moments ``q_p = sum_j r_j z_j^p`` (``p <= 4``) of ``z_j = (j - h) / sigma``
+    about row ``h = min(k // 2, round(n))``: the band's middle row, where a
+    banded event has its nearest integer, or, where the band is every
+    component from 0, the row of the Poisson mean, near which the
+    responsibilities of a wide sigma lie. Centred there the moments add
+    numbers of like size, also for a clipped outlier and for ``n`` near 0.
+    The event's component is ``l = lo + h + sigma z``, so ``E[l] - Var(l) =
+    lo + h + sigma (q1 - sigma v)``, formed per event: near ``n = 0`` it is
+    about ``E[l]^2``, far below either term. Its residual in
+    units of sigma is ``t = (x - l) / sigma = w - z``, ``w = d_h / sigma``
+    (``d_h = x - lo - h``, row ``h`` of ``d``). With ``v = q2 - q1^2 =
+    Var(z)`` and ``a = q3 - q1 q2 = Cov(z, z^2)`` that gives ``E[t^2] = w^2 -
+    2 w q1 + q2``, ``Var(t^2) = q4 - q2^2 - 4 w a + 4 w^2 v`` and ``Cov(z,
+    t^2) = a - 2 w v``. The complete-data scores are ``l / n - 1`` and ``(t^2
+    - 1) / sigma``, and their derivatives ``-l / n^2``, 0 and ``(1 - 3 t^2) /
+    sigma^2``, so by Louis's identity an event adds ``(E[l] - sigma^2 v) /
+    n^2``, ``-Cov(z, t^2) / n`` and ``(3 E[t^2] - 1 - Var(t^2)) / sigma^2``
+    to the information.
+
+    Returns the chunk sums of ``E[l] - Var(l)``, ``Cov(z, t^2)`` and ``3
+    E[t^2] - Var(t^2)``. Every term is in units of sigma, so no power of sigma is
+    formed. Rows ``h + delta`` and ``h - delta`` share ``z^2`` and ``z^4``, so
+    the moments add their sum and difference, or the one row that exists.
+    The six chunk vectors are the rows of ``vectors``, whose values are
+    overwritten.
+    """
+    k, size = r.shape
+    h = min(k // 2, round(n))
+    q1, q2, q3, q4, even, odd = vectors
+    for delta in range(1, max(h, k - 1 - h) + 1):
+        z = delta / sigma
+        z2 = z * z
+        if 0 <= h - delta and h + delta < k:
+            np.add(r[h + delta], r[h - delta], out=even)
+            np.subtract(r[h + delta], r[h - delta], out=odd)
+        elif h + delta < k:
+            np.copyto(even, r[h + delta])
+            np.copyto(odd, r[h + delta])
+        else:
+            np.copyto(even, r[h - delta])
+            np.negative(r[h - delta], out=odd)
+        if delta == 1:
+            np.multiply(odd, z, out=q1)
+            np.multiply(q1, z2, out=q3)
+            np.multiply(even, z2, out=q2)
+            np.multiply(q2, z2, out=q4)
+            continue
+        for q, term, power in ((q1, odd, z), (q3, odd, z2), (q2, even, z2), (q4, even, z2)):
+            np.multiply(term, power, out=term)
+            np.add(q, term, out=q)
+    with np.errstate(all="ignore"):  # only an event with no finite log-term overflows
+        # q3 <- a, even <- v, odd <- E[l] - Var(l) - h, then w
+        np.multiply(q1, q2, out=even)
+        np.subtract(q3, even, out=q3)
+        np.multiply(q1, q1, out=even)
+        np.subtract(q2, even, out=even)
+        np.multiply(even, sigma, out=odd)
+        np.subtract(q1, odd, out=odd)
+        np.multiply(odd, sigma, out=odd)
+        np.add(odd, lo, out=odd)
+        sum_nn = float(np.sum(odd)) + h * size
+        np.divide(d[h], sigma, out=odd)
+        # q3 <- a - w v, even <- a - 2 w v = Cov(z, t^2)
+        np.multiply(even, odd, out=even)
+        np.subtract(q3, even, out=q3)
+        np.subtract(q3, even, out=even)
+        sum_cov = float(np.sum(even))
+        # q3 <- 4 w (a - w v) - q4, q1 <- 3 E[t^2] + q3 + q2^2 = 3 E[t^2] - Var(t^2)
+        np.multiply(q3, odd, out=q3)
+        np.multiply(q3, 4.0, out=q3)
+        np.subtract(q3, q4, out=q3)
+        np.multiply(q1, -2.0, out=q1)
+        np.add(q1, odd, out=q1)
+        np.multiply(q1, odd, out=q1)
+        np.add(q1, q2, out=q1)
+        np.multiply(q1, 3.0, out=q1)
+        np.add(q1, q3, out=q1)
+        np.multiply(q2, q2, out=q2)
+        np.add(q1, q2, out=q1)
+        return sum_nn, sum_cov, float(np.sum(q1))
 
 
 def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
-    """Maximum-likelihood fit of ``(n, sigma)`` by EM accelerated with SQUAREM.
+    """Maximum-likelihood fit of ``(n, sigma)`` by Newton steps, with EM and SQUAREM behind them.
 
-    The E-step distributes each event over the integer components; the
-    M-step re-estimates the Poisson mean from the responsibility-weighted
-    component indices and the width from the responsibility-weighted squared
-    residuals (clamped at ``_N_FLOOR`` and ``SIGMA_FLOOR``). One pass runs
-    the E-step at a point and gives its log-likelihood and its EM image.
+    One pass runs the E-step at a point. It distributes each event over the
+    integer components and gives the point's log-likelihood, its gradient,
+    its observed information ``I`` (:func:`_information_terms`) and its EM
+    image: the M-step's Poisson mean from the responsibility-weighted
+    component indices and width from the responsibility-weighted squared
+    residuals (clamped at ``_N_FLOOR`` and ``SIGMA_FLOOR``). The fit starts
+    from ``n = max(sample mean, 0.05)`` and ``sigma = 0.3``.
 
-    Each SQUAREM cycle starts from an accepted point t0, whose pass gave
-    ll0 and its image t1. A pass at t1 gives ll1 and t2. With r = t1 - t0,
-    v = t2 - t1 - r and the step length a = min(-|r|/|v|, -1), the cycle
-    proposes t0 - 2 a r + a^2 v and runs a pass there. The proposal is
-    accepted if n >= ``_N_FLOOR`` and sigma >= ``SIGMA_FLOOR`` are finite and its
-    log-likelihood is at least ll1; otherwise a becomes (a - 1)/2 and the
-    cycle proposes again. Once a is above ``_SQUAREM_EM_ALPHA`` (-1.01) the
-    cycle takes t2, the plain EM step (a = -1), whose log-likelihood is
-    checked like ll1. The fit stops when two consecutive accepted points
-    differ in log-likelihood by less than ``_EM_TOL`` (1e-8); a cycle whose
-    first EM image t1 is already that close to t0 accepts t1 and stops
-    without a proposal.
+    At each accepted point t0 with log-likelihood ll0 and gradient g, the
+    fit stops if ``I`` is positive definite and the Newton decrement
+    ``g^T I^-1 g / 2`` is below ``_EM_TOL`` (1e-8), with no further pass.
+    Otherwise, where ``I`` is positive definite, it proposes the Newton step
+    ``t0 + I^-1 g``, or the EM image where the EM step gains more to first
+    order, ``g^T (t1 - t0) > g^T I^-1 g``, as it does far from the optimum
+    on well-separated peaks. A Newton proposal is accepted if n >= ``_N_FLOOR``
+    and sigma >= ``SIGMA_FLOOR`` are finite and its log-likelihood is at
+    least ll0; the EM image is accepted after the check below. The 2x2
+    inverse is in closed form.
+
+    Where ``I`` is not positive definite (far from the optimum it need not
+    be), or the Newton proposal is refused, the fit runs a SQUAREM cycle from
+    t0. Its image t1 gave ll0's pass. A pass at t1 gives ll1 and t2. With r =
+    t1 - t0, v = t2 - t1 - r and the step length a = min(-|r|/|v|, -1), the
+    cycle proposes t0 - 2 a r + a^2 v and runs a pass there. The proposal is
+    accepted if it keeps the bounds above and its log-likelihood is at least
+    ll1; otherwise a becomes (a - 1)/2 and the cycle proposes again. Once a is
+    above ``_SQUAREM_EM_ALPHA`` (-1.01) the cycle takes t2, the plain EM step
+    (a = -1), whose log-likelihood is checked like ll1. The fit also stops
+    when a cycle's accepted point differs from t0 in log-likelihood by less
+    than ``_EM_TOL``, and a cycle whose first EM image t1 is already that
+    close accepts t1 and stops without a proposal. A point whose
+    log-likelihood is -inf (an event whose density underflows at every
+    point) takes no Newton step, and if its EM image is -inf too the fit
+    stops there with ``converged=False``.
     ``n_iterations`` counts every pass, rejected proposals included, and at
     most ``_EM_ITERATIONS`` (500) are run; a fit that reaches the cap
     returns the last accepted point with ``converged=False``.
 
     ``l_max`` is the Poisson cutoff; by default it is
     ``max(20, ceil(2 * sample mean) + 2)``, well above the data.
-    ``stderr_n`` is the asymptotic standard error of ``n_hat`` from the
-    observed information (finite-difference Hessian at the optimum).
+    ``stderr_n`` is ``sqrt((I^-1)_nn)`` at the returned point, from its own
+    pass: the standard error costs no pass.
 
     Raises
     ------
@@ -470,7 +620,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         ``_MAX_WORKSPACE_BYTES`` or more; or a sample mean above ``l_max / 2``,
         where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
-        An EM map lowered the log-likelihood, ll1 < ll0 - 1e-8 (1 + |ll0|)
+        An EM step lowered the log-likelihood, ll1 < ll0 - 1e-8 (1 + |ll0|)
         for a point and its EM image, which a correct update cannot do.
     """
     events = np.asarray(events, dtype=float)
@@ -490,13 +640,26 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     passes = 0
 
     def em_map(theta):
-        """One E-step at ``theta``: its log-likelihood and its EM image."""
+        """One E-step at ``theta``: ll, EM image and ``(proposal, decrement, var_n)``.
+
+        The proposal is the point to try next: the Newton step from
+        ``theta``, or the EM image where that gains more to first order; None
+        where the information is not positive definite.
+        """
         nonlocal passes
         passes += 1
-        ll, sum_rl, sum_rsq = _em_pass(events, theta[0], theta[1], l_max, ws)
-        image = (max(sum_rl / events.size, _N_FLOOR),
-                 max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR))
-        return ll, np.array(image)
+        n, sigma = float(theta[0]), float(theta[1])
+        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, ws, information=True)
+        image = np.array([max(sum_rl / events.size, _N_FLOOR),
+                          max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR)])
+        g_n, g_s = _gradient(events.size, n, sigma, sum_rl, sum_rsq)
+        step, decrement, var_n = _newton(g_n, g_s, info)
+        if step is None:
+            return ll, image, (None, decrement, var_n)
+        # far from the optimum the EM step can reach further than the local
+        # quadratic model, whose gain to first order is g^T I^-1 g
+        em_gain = g_n * (image[0] - n) + g_s * (image[1] - sigma)
+        return ll, image, (image if em_gain > 2.0 * decrement else theta + step, decrement, var_n)
 
     def check_increase(ll_from, ll_to):
         if ll_to < ll_from - 1e-8 * (1.0 + abs(ll_from)):
@@ -505,15 +668,37 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
                 "this indicates a broken update"
             )
 
-    # theta is the last accepted point, ll its log-likelihood, image its EM image
+    def in_bounds(theta):
+        return _N_FLOOR <= theta[0] < np.inf and SIGMA_FLOOR <= theta[1] < np.inf
+
+    # theta is the last accepted point, ll its log-likelihood, image its EM
+    # image and newton its (proposal, decrement, var_n)
     theta = np.array([max(sample_mean, 0.05), 0.3])
-    ll, image = em_map(theta)
+    ll, image, newton = em_map(theta)
     converged = False
-    while not converged and passes < _EM_ITERATIONS:
-        ll_image, image2 = em_map(image)
+    while passes < _EM_ITERATIONS:
+        proposal, decrement, _ = newton
+        if proposal is not None and ll > -np.inf:
+            if decrement < _EM_TOL:
+                converged = True
+                break
+            if in_bounds(proposal):
+                ll_new, image_new, newton_new = em_map(proposal)
+                em_step = proposal is image
+                if em_step:
+                    check_increase(ll, ll_new)
+                if em_step or ll_new >= ll:
+                    theta, ll, image, newton = proposal, ll_new, image_new, newton_new
+                    continue
+                if passes >= _EM_ITERATIONS:
+                    break
+        # a SQUAREM cycle from theta
+        ll_image, image2, newton_image = em_map(image)
         check_increase(ll, ll_image)
-        if abs(ll_image - ll) < _EM_TOL:
-            theta, ll, converged = image, ll_image, True
+        if abs(ll_image - ll) < _EM_TOL or not ll_image > -np.inf:
+            # converged, or a point of -inf whose EM image gained nothing finite
+            converged = ll_image > -np.inf
+            theta, ll, newton = image, ll_image, newton_image
             break
         r = image - theta
         v = image2 - image - r
@@ -522,45 +707,49 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         while passes < _EM_ITERATIONS:
             em_step = alpha > _SQUAREM_EM_ALPHA
             proposal = image2 if em_step else theta - 2.0 * alpha * r + alpha**2 * v
-            if em_step or (_N_FLOOR <= proposal[0] < np.inf
-                           and SIGMA_FLOOR <= proposal[1] < np.inf):
-                ll_new, image_new = em_map(proposal)
+            if em_step or in_bounds(proposal):
+                ll_new, image_new, newton_new = em_map(proposal)
                 if em_step:
                     check_increase(ll_image, ll_new)
                 if em_step or ll_new >= ll_image:
                     converged = abs(ll_new - ll) < _EM_TOL
-                    theta, ll, image = proposal, ll_new, image_new
+                    theta, ll, image, newton = proposal, ll_new, image_new, newton_new
                     break
             alpha = (alpha - 1.0) / 2.0
-    del ws  # the gradient passes of _stderr_n allocate their own
+        if converged:
+            break
 
-    n, sigma = float(theta[0]), float(theta[1])
-    stderr_n = _stderr_n(events, n, sigma, l_max)
+    var_n = newton[2]
     return MixtureFit(
-        n_hat=n,
-        sigma_hat=sigma,
+        n_hat=float(theta[0]),
+        sigma_hat=float(theta[1]),
         l_max=l_max,
         log_likelihood=ll,
         n_iterations=passes,
         converged=converged,
-        stderr_n=stderr_n,
+        stderr_n=math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan,
     )
 
 
-def _stderr_n(events, n, sigma, l_max) -> float:
-    """Asymptotic std error of n from the finite-difference observed information."""
-    h_n = min(1e-5 * max(n, 1e-2), 0.5 * n)
-    h_s = min(1e-5 * max(sigma, 1e-2), 0.5 * sigma)
-    gn_p = log_likelihood_grad(events, n + h_n, sigma, l_max)
-    gn_m = log_likelihood_grad(events, n - h_n, sigma, l_max)
-    gs_p = log_likelihood_grad(events, n, sigma + h_s, l_max)
-    gs_m = log_likelihood_grad(events, n, sigma - h_s, l_max)
-    h_nn = (gn_p[0] - gn_m[0]) / (2 * h_n)
-    h_ns = 0.5 * ((gn_p[1] - gn_m[1]) / (2 * h_n) + (gs_p[0] - gs_m[0]) / (2 * h_s))
-    h_ss = (gs_p[1] - gs_m[1]) / (2 * h_s)
-    det = h_nn * h_ss - h_ns * h_ns  # of -H, whose inverse holds var_n at (n, n)
-    var_n = -h_ss / det if det != 0.0 else math.nan
-    return math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan
+def _newton(g_n, g_s, info):
+    """``(step, decrement, var_n)`` of the Newton step ``I^-1 g`` at one point.
+
+    ``I`` is the 2x2 observed information ``(i_nn, i_ns, i_ss)`` and ``g``
+    the gradient, both of ``(n, sigma)``; the inverse is in closed form, so
+    no BLAS or LAPACK call is made. The step is None unless ``I`` is
+    positive definite; the decrement is ``g^T I^-1 g / 2`` and ``var_n`` is
+    ``(I^-1)_nn``, the asymptotic variance of ``n`` (NaN where ``I`` is
+    singular).
+    """
+    i_nn, i_ns, i_ss = info
+    det = i_nn * i_ss - i_ns * i_ns
+    if not det != 0.0:
+        return None, math.nan, math.nan
+    step_n, step_s = (i_ss * g_n - i_ns * g_s) / det, (i_nn * g_s - i_ns * g_n) / det
+    decrement = 0.5 * (g_n * step_n + g_s * step_s)
+    if not (i_nn > 0.0 and det > 0.0 and math.isfinite(decrement)):
+        return None, decrement, i_ss / det
+    return np.array([step_n, step_s]), decrement, i_ss / det
 
 
 def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarray:

@@ -714,8 +714,9 @@ class TestErrorContract:
     def test_em_likelihood_decrease_exit_2(self, tmp_path, capsys, monkeypatch):
         lls = iter([-10.0, -20.0])
 
-        def broken_pass(events, n, sigma, l_max, ws=None):
-            return next(lls), n * events.size, sigma**2 * events.size
+        def broken_pass(events, n, sigma, l_max, ws=None, information=False):
+            # an information that is not positive definite sends the fit to EM
+            return next(lls), n * events.size, sigma**2 * events.size, (0.0, 0.0, 0.0)
 
         monkeypatch.setattr(estimation, "_em_pass", broken_pass)
         events = write_events(tmp_path / "ev.txt")

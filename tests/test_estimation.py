@@ -1,9 +1,11 @@
+import ast
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,12 +486,119 @@ class TestFitMixture:
         with pytest.raises(ValueError, match="not finite"):
             fit_mixture(events, l_max=20)
 
+    def test_astronomical_outliers_end_the_fit(self):
+        # +-1e150 pull sigma up near 1e149, where sigma**3 overflows a Python
+        # float; at +-1e160 every point has a log-likelihood of -inf
+        events = draw_mixture_events(1.0, 0.3, 500, seed=26)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mixture(np.concatenate([events, [1e150, -1e150]]), l_max=40)
+            assert isinstance(fit, MixtureFit)
+            assert np.isfinite(fit.log_likelihood)
+            fit = fit_mixture(np.concatenate([events, [1e160, -1e160]]), l_max=40)
+        assert fit.log_likelihood == -np.inf
+        assert not fit.converged
+        assert fit.n_iterations <= 3
+        assert np.isnan(fit.stderr_n)
+
+    def test_gradient_at_a_huge_sigma(self):
+        events = draw_mixture_events(1.0, 0.3, 500, seed=26)
+        g_n, g_s = log_likelihood_grad(events, 1.0, 1e200)
+        assert np.isfinite(g_n) and g_s == pytest.approx(-events.size / 1e200, rel=1e-6)
+
     def test_stderr_scales_with_sample_size(self):
         small = fit_mixture(draw_mixture_events(2.55, 0.33, 1000, seed=10))
         large = fit_mixture(draw_mixture_events(2.55, 0.33, 16000, seed=10))
         assert large.stderr_n < small.stderr_n
         # 1/sqrt(N) scaling, loosely
         assert large.stderr_n == pytest.approx(small.stderr_n / 4, rel=0.35)
+
+
+def finite_difference_information(events, n, sigma, l_max):
+    """``(i_nn, i_ns, i_ss)``: minus the central difference of the gradient, symmetrised."""
+    h_n, h_s = 1e-5 * n, 1e-5 * sigma
+    gn_p = log_likelihood_grad(events, n + h_n, sigma, l_max)
+    gn_m = log_likelihood_grad(events, n - h_n, sigma, l_max)
+    gs_p = log_likelihood_grad(events, n, sigma + h_s, l_max)
+    gs_m = log_likelihood_grad(events, n, sigma - h_s, l_max)
+    i_ns = -0.5 * ((gn_p[1] - gn_m[1]) / (2 * h_n) + (gs_p[0] - gs_m[0]) / (2 * h_s))
+    return -(gn_p[0] - gn_m[0]) / (2 * h_n), i_ns, -(gs_p[1] - gs_m[1]) / (2 * h_s)
+
+
+def assert_information_matches_finite_differences(events, n, sigma, l_max):
+    """Each entry within 1e-5 of its scale, ``sqrt(|I_aa I_bb|)`` for the entry ``(a, b)``."""
+    ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, information=True)
+    assert (ll, sum_rl, sum_rsq) == _em_pass(events, n, sigma, l_max)
+    want = finite_difference_information(events, n, sigma, l_max)
+    scale = (abs(want[0]), math.sqrt(abs(want[0] * want[2])), abs(want[2]))
+    for got_i, want_i, scale_i in zip(info, want, scale):
+        assert abs(got_i - want_i) <= 1e-5 * scale_i, (info, want)
+
+
+def reference_information(events, n, sigma, l_max):
+    """Louis's information from each event's central moments over every component."""
+    ls = np.arange(l_max + 1)[:, None]
+    i_nn = i_ns = i_ss = 0.0
+    for d, _, r in _reference_chunks(events, n, sigma, l_max):
+        t2 = (d / sigma) ** 2
+        mean_l, mean_t2 = np.sum(r * ls, axis=0), np.sum(r * t2, axis=0)
+        var_l = np.sum(r * (ls - mean_l) ** 2, axis=0)
+        var_t2 = np.sum(r * (t2 - mean_t2) ** 2, axis=0)
+        cov = np.sum(r * (ls - mean_l) * (t2 - mean_t2), axis=0)
+        i_nn += float(np.sum(mean_l - var_l)) / n**2
+        i_ns -= float(np.sum(cov)) / (n * sigma)
+        i_ss += float(np.sum(3.0 * mean_t2 - 1.0 - var_t2)) / sigma**2
+    return i_nn, i_ns, i_ss
+
+
+class TestObservedInformation:
+    """The information of the E-step moments against the differenced gradient."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.33, 0.6])
+    @pytest.mark.parametrize("n", [1.07, 2.85, 10.18])
+    def test_matches_finite_differences(self, n, sigma):
+        events = draw_mixture_events(n, sigma, 2000, seed=int(100 * n + 10 * sigma))
+        l_max = 30 if n > 10 else 20
+        # at the generating point and away from it, where it need not be positive
+        for point in ((n, sigma), (1.3 * n, 0.7 * sigma)):
+            assert_information_matches_finite_differences(events, *point, l_max)
+
+    # an even number of components leaves row 0 without its mirror row
+    @pytest.mark.parametrize("l_max", [20, 21])
+    def test_full_band(self, l_max):
+        events = draw_mixture_events(2.85, 2.0, 2000, seed=23)
+        assert estimation._band_half_width(2.85, 2.0, l_max) is None
+        assert_information_matches_finite_differences(events, 2.85, 2.0, l_max)
+
+    @pytest.mark.parametrize("sigma", [0.33, 2.0])
+    def test_outliers(self, sigma):
+        # the band of an outlier is clipped at an end of the cutoff
+        events = draw_mixture_events(2.85, 0.33, 2000, seed=24)
+        events[:4] = (-50.0, -50.0, 1e3, 1e3)
+        assert_information_matches_finite_differences(events, 2.85, sigma, 20)
+
+    # a mean near 0: each event's l is nearly always 0, so E[l] - Var(l) is
+    # about E[l]^2, far below either, and moments about a distant row lose
+    # it. At sigma 69 the events say almost nothing about n, the sum of
+    # E[l]^2 - E[l(l - 1)] is 1/5000 of either, and 1e-6 of it is what the
+    # raw moments of one pass keep
+    @pytest.mark.parametrize("n, sigma, rel", [(1e-4, 2.0, 1e-8), (1e-6, 69.0, 1e-6),
+                                               (2.85, 0.33, 1e-8)])
+    def test_matches_the_central_moments(self, n, sigma, rel):
+        events = draw_mixture_events(n, sigma, 2000, seed=27)
+        info = _em_pass(events, n, sigma, 20, information=True)[3]
+        want = reference_information(events, n, sigma, 20)
+        scale = (abs(want[0]), math.sqrt(abs(want[0] * want[2])), abs(want[2]))
+        for got_i, want_i, scale_i in zip(info, want, scale):
+            assert abs(got_i - want_i) <= rel * scale_i, (info, want)
+
+    def test_stderr_is_the_inverse_information_at_the_fit(self):
+        events = draw_mixture_events(2.55, 0.33, 5000, seed=25)
+        fit = fit_mixture(events)
+        i_nn, i_ns, i_ss = finite_difference_information(events, fit.n_hat, fit.sigma_hat,
+                                                         fit.l_max)
+        var_n = i_ss / (i_nn * i_ss - i_ns * i_ns)
+        assert fit.stderr_n == pytest.approx(math.sqrt(var_n), rel=1e-6)
 
 
 def plain_em(events, l_max):
@@ -518,11 +627,12 @@ class TestSquarem:
     """The accelerated fit: few passes where EM crawls, never a worse optimum."""
 
     # at these seeds plain EM runs into its 500-pass cap at sigma 0.5 and 0.6
-    # with n = 10, and in the 2e4-event cell; at sigma 0.1 it takes 4-5 passes,
-    # and a cycle whose first EM image has converged stops there, at 6
+    # with n = 10, and in the 2e4-event cell, where the Newton steps take 9
+    # to 11 passes; at sigma 0.1 plain EM takes 4-5 passes, and the fit,
+    # which takes the EM step where it gains more than the Newton step, 4
     @pytest.mark.parametrize("i", range(len(GRID_SIGMAS)))
     def test_grid_row_converges_in_under_100_passes(self, i):
-        bound = 6 if GRID_SIGMAS[i] == 0.1 else 99
+        bound = 6 if GRID_SIGMAS[i] == 0.1 else 19
         for j, n in enumerate(GRID_MEANS):
             fit = fit_mixture(draw_mixture_events(n, GRID_SIGMAS[i], 700, seed=10 * i + j))
             assert fit.converged, (GRID_SIGMAS[i], n)
@@ -531,7 +641,7 @@ class TestSquarem:
     def test_slow_em_cell_converges_in_under_100_passes(self):
         fit = fit_mixture(draw_mixture_events(5.1, 0.5, 20000, seed=0))
         assert fit.converged
-        assert fit.n_iterations < 100
+        assert fit.n_iterations < 20
 
     @pytest.mark.parametrize("sigma", [0.26, 0.4])
     @pytest.mark.parametrize("n", [1.07, 2.85, 10.18])
@@ -552,10 +662,10 @@ class TestSquarem:
 
         monkeypatch.setattr(estimation, "_em_pass", counting_pass)
         fit = fit_mixture(draw_mixture_events(2.0, 0.5, 700, seed=42))
-        # the standard error adds four gradient passes
-        assert len(calls) == fit.n_iterations + 4
+        # the standard error comes from the last accepted pass, with no pass of its own
+        assert len(calls) == fit.n_iterations
         # and the fit runs no pass twice at one point
-        assert len(set(calls[: fit.n_iterations])) == fit.n_iterations
+        assert len(set(calls)) == fit.n_iterations
 
     def test_cap_returns_the_last_accepted_point(self, monkeypatch):
         events = draw_mixture_events(5.0, 0.5, 700, seed=42)
@@ -993,6 +1103,30 @@ def test_fit_bytes_do_not_depend_on_blas_threads():
         outputs[threads] = res.stdout
     assert outputs["2"] == outputs["1"]
     assert outputs["4"] == outputs["1"]
+
+
+#: Calls whose rounding can follow the BLAS thread count.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+
+
+def test_estimation_makes_no_blas_call():
+    # the fit's 2x2 solve and every sum over the components stay in plain
+    # numpy ufuncs and Python floats, so the fit bytes do not follow the
+    # BLAS thread count
+    tree = ast.parse(Path(estimation.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_CALLS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.alias) and BLAS_CALLS & set(node.name.split(".")):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.ImportFrom) and BLAS_CALLS & set((node.module or "").split(".")):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    assert found == []
 
 
 class TestSigmaFromDark:

@@ -9,10 +9,12 @@ again when the sums over the components became fixed-order numpy reductions
 and a SQUAREM cycle learned to stop at its first EM image, and again when
 the E-step came to sum each event over a band of components, and again
 when it came to lay the band out component-major and add over the
-components in order. The plain-EM optimum each one held before is kept in
-``PLAIN_EM`` and checked too: the
-pinned fit reaches at least its log-likelihood, moves n and sigma by less
-than a thousandth of the standard error and keeps the standard error.
+components in order, and again when the fit came to take Newton steps on
+the observed information and to read the standard error from it. The
+plain-EM optimum each one held before is kept in ``PLAIN_EM`` and checked
+too: the pinned fit reaches at least its log-likelihood, moves n and sigma
+by less than a thousandth of the standard error and keeps the standard
+error.
 """
 
 import hashlib
@@ -49,8 +51,8 @@ DARK_PINS = {
 SWEEP_PIN = "acd6ba320cf3a248d4113f931343e194a0d23afcb9c9c2bb8dd8842b1008448e"
 
 FIT_PINS = {
-    "fitted_curve.csv": "f2918abe8a63ed56ac7978eae2c589e9d139762516ad77bd0b99e39847e9df7f",
-    "histogram.csv": "55fb50f921951fbd04aa6b8bc1a1800c8c8ab75d2c44d548986c414e9580faac",
+    "fitted_curve.csv": "4640cbb1394ae845c51194428c9ab59cebba05d2ffa1a35f442ad9cbe1d9e8af",
+    "histogram.csv": "64bb76cb3f8fb219403fef9e4f21a603e6d0a24145a96c63d6008da6215275e7",
 }
 
 #: (n_hat, sigma_hat, log_likelihood, stderr_n) of the plain-EM fits
@@ -109,11 +111,11 @@ def test_fit_command_output_pinned(tmp_path):
     assert {name: got[name] for name in FIT_PINS} == FIT_PINS
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
     assert fit["converged"] is True
-    assert fit["iterations"] == 10
-    assert fit["n_hat"] == 1.0789625856445695
-    assert fit["sigma_hat"] == 0.25325008881137173
-    assert fit["log_likelihood"] == -25814.531473540606
-    assert fit["stderr_n"] == pytest.approx(0.007444198707317421, rel=1e-9, abs=0)
+    assert fit["iterations"] == 7
+    assert fit["n_hat"] == 1.078962580102095
+    assert fit["sigma_hat"] == 0.25325011435534217
+    assert fit["log_likelihood"] == -25814.53147354046
+    assert fit["stderr_n"] == pytest.approx(0.007444198702896222, rel=1e-9, abs=0)
     assert fit["dof"] == 62
     assert_agrees_with_plain_em("fit command", fit["n_hat"], fit["sigma_hat"],
                                 fit["log_likelihood"], fit["stderr_n"])
@@ -128,10 +130,10 @@ def test_fit_values_pinned():
     assert events.size == 20000
     fit = fit_mixture(events)
     assert fit.converged
-    assert fit.n_iterations == 12
-    assert fit.n_hat == 2.5690625188205782
-    assert fit.sigma_hat == 0.3256323390110131
-    assert fit.log_likelihood == -37032.2599427882
-    assert fit.stderr_n == pytest.approx(0.011526468844412871, rel=1e-9, abs=0)
+    assert fit.n_iterations == 5
+    assert fit.n_hat == 2.5690625188428027
+    assert fit.sigma_hat == 0.3256323386510964
+    assert fit.log_likelihood == -37032.259942788194
+    assert fit.stderr_n == pytest.approx(0.011526468844864893, rel=1e-9, abs=0)
     assert_agrees_with_plain_em("fit values", fit.n_hat, fit.sigma_hat,
                                 fit.log_likelihood, fit.stderr_n)
