@@ -229,41 +229,45 @@ def _cmd_simulate(args, dark: bool) -> int:
 
 
 def _read_events(path: str, column: str | None) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    if column is not None:
-        header = next(csv.reader(lines), None)
-        if header is None or column not in header:
-            raise ValueError(f"column {column!r} not found in {path}")
-        i = len(header) - 1 - header[::-1].index(column)  # the last of duplicates
+    """The events of ``path``, read a line at a time and parsed by ``float()``.
 
-        def numbered():  # (line, cell) of each non-blank row; a short row gives None
-            rows = csv.reader(lines)
-            next(rows)
-            return ((rows.line_num, r[i] if i < len(r) else None) for r in rows if r)
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as in ``open()`` and RFC 4180.
+    """
+    with open(path, newline="") as fh:
+        if column is not None:
+            header = next(csv.reader(fh), None)
+            if header is None or column not in header:
+                raise ValueError(f"column {column!r} not found in {path}")
+            i = len(header) - 1 - header[::-1].index(column)  # the last of duplicates
 
-        expected = f"a number in column {column!r}"
-    else:
+            def numbered():  # (line, cell) of each non-blank row; a short row gives None
+                fh.seek(0)
+                rows = csv.reader(fh)
+                next(rows)
+                return ((rows.line_num, r[i] if i < len(r) else None) for r in rows if r)
 
-        def numbered():
-            return ((ln, s) for ln, line in enumerate(lines, start=1) if (s := line.strip()))
+            expected = f"a number in column {column!r}"
+        else:
 
-        expected = "one number per line (use --column for CSV input)"
-    try:  # one numpy call parses every cell as float() does
-        values = np.array([cell for _, cell in numbered()], dtype=float)
-        if np.isfinite(values).all():
-            return values
-    except (TypeError, ValueError):
-        pass  # the loop names the line, or keeps what float() accepts
-    values = []
-    for ln, cell in numbered():
-        try:
-            value = float(cell)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
-        if not math.isfinite(value):
-            raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
-        values.append(value)
-    return np.asarray(values, dtype=float)
+            def numbered():
+                fh.seek(0)
+                return ((ln, s) for ln, line in enumerate(fh, start=1) if (s := line.strip()))
+
+            expected = "one number per line (use --column for CSV input)"
+        try:  # the one value path: float() on every cell
+            values = np.fromiter(map(float, (cell for _, cell in numbered())), float)
+            if np.isfinite(values).all():
+                return values
+        except (TypeError, ValueError):
+            pass
+        for ln, cell in numbered():  # only names the first bad line
+            try:
+                value = float(cell)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
+    raise ValueError(f"{path} changed while it was read")
 
 
 def _cmd_fit(args) -> int:
@@ -287,8 +291,9 @@ def _cmd_fit(args) -> int:
     hist = build_histogram(events, width)
     fit = fit_mixture(events, l_max=args.l_max)
 
+    degenerate = not math.isfinite(fit.stderr_n)
     chi2 = dof = None
-    if fit.converged:
+    if fit.converged and not degenerate:
         try:
             chi2, dof = goodness_of_fit(hist, fit)
         except ValueError:
@@ -319,7 +324,7 @@ def _cmd_fit(args) -> int:
                 xs, dens, hist.total * hist.bin_width * dens)
     write_table(out_dir / "histogram.csv", ("bin_center", "count", "expected_count"),
                 hist.bin_centers, hist.counts, expected)
-    if not math.isfinite(fit.stderr_n):
+    if degenerate:
         return _fail(2, f"degenerate fit: stderr_n is {fit.stderr_n} at n_hat "
                         f"{fit.n_hat!r}, sigma_hat {fit.sigma_hat!r}")
     return 0 if fit.converged else 2
@@ -332,12 +337,20 @@ def _cmd_snr(args) -> int:
         raise ConfigError(
             f"--sigma-from-psd needs a psd-mode noise config, got {cfg.noise.mode!r}"
         )
+    for flag, value in (("--n", args.n), ("--sigma-e", args.sigma_e)):
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value!r}")
     sigma_e = args.sigma_e if args.sigma_e is not None else cds_sigma(cfg.noise, det)
+    ratio = snr(det, args.n, sigma_e)
+    if not math.isfinite(ratio):
+        source = "--sigma-e" if args.sigma_e is not None else "the configured noise"
+        raise _UsageError(f"the S/N of --n {args.n!r} over a sigma_e of {sigma_e!r} "
+                          f"(from {source}) is {ratio!r}, not finite")
     result = {
         "volts_per_carrier": volts_per_carrier(det),
         "sigma_e": sigma_e,
         "n": args.n,
-        "snr": snr(det, args.n, sigma_e),
+        "snr": ratio,
     }
     print(json.dumps(result))
     return 0
@@ -418,8 +431,9 @@ def main(argv=None) -> int:
     except (QuadratureError, ConvergenceError) as exc:
         return _fail(2, str(exc))
     # ConfigError, InsufficientDataError and _UsageError are ValueErrors; a
-    # MemoryError usually has no message
-    except (ValueError, OverflowError, MemoryError) as exc:
+    # MemoryError usually has no message; csv.Error comes from an events file
+    # whose unclosed quote outgrows the csv field limit
+    except (ValueError, OverflowError, MemoryError, csv.Error) as exc:
         return _fail(1, str(exc) or "out of memory")
     except OSError as exc:
         return _fail(3, str(exc))

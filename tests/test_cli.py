@@ -1,10 +1,16 @@
+import csv
 import json
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from cipdsim import cli, default_config_path, estimation, readout
@@ -305,18 +311,31 @@ class TestFit:
         assert not (tmp_path / "f").exists()
 
     def test_degenerate_fit_exit_2(self, tmp_path, capsys):
-        # events far below zero: n_hat sits at its floor and stderr_n is NaN
-        events = np.random.default_rng(0).normal(-50.0, 0.3, 500)
-        path = tmp_path / "ev.txt"
-        path.write_text("".join(f"{e!r}\n" for e in events.tolist()))
-        code, message = main_error(capsys, "fit", path, "--out", tmp_path / "f")
-        assert code == 2
-        assert "stderr_n" in message
-        fit = json.loads((tmp_path / "f" / "fit.json").read_text())
-        assert fit["converged"] is True
-        assert fit["stderr_n"] is None
-        assert (tmp_path / "f" / "fitted_curve.csv").exists()
-        assert (tmp_path / "f" / "histogram.csv").exists()
+        # events far below zero: n_hat sits at its floor and stderr_n is NaN;
+        # the wide second set has enough populated bins for a chi-square,
+        # and a fit with no standard error reports none
+        for seed, sigma in ((0, 0.3), (1, 50.0)):
+            events = np.random.default_rng(seed).normal(-50.0, sigma, 500)
+            path = tmp_path / f"ev{seed}.txt"
+            path.write_text("".join(f"{e!r}\n" for e in events.tolist()))
+            out = tmp_path / f"f{seed}"
+            code, message = main_error(capsys, "fit", path, "--out", out)
+            assert code == 2
+            assert "stderr_n" in message
+            fit = json.loads((out / "fit.json").read_text())
+            assert fit["converged"] is True
+            assert fit["stderr_n"] is None
+            assert fit["chi2"] is None and fit["dof"] is None
+            assert (out / "fitted_curve.csv").exists()
+            assert (out / "histogram.csv").exists()
+
+    def test_unclosed_quote_past_the_field_limit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "ev.csv"
+        path.write_text('x\n"' + "1" * 200_000 + "\n")
+        code, message = main_error(capsys, "fit", path, "--column", "x", "--out", tmp_path / "f")
+        assert code == 1
+        assert "field limit" in message
+        assert not (tmp_path / "f").exists()
 
     def test_missing_file_exit_3(self, tmp_path):
         res = run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "f")
@@ -345,8 +364,137 @@ class TestFit:
         assert fit["chi2"] / fit["dof"] < 2
 
 
+def _splitlines_read_events(path, column):
+    """The reader ``cli._read_events`` replaced, kept to test against.
+
+    It held the file as one string, its lines and its cells, parsed them with
+    numpy and parsed every line again with ``float()`` when numpy refused.
+    """
+    lines = Path(path).read_text().splitlines()
+    if column is not None:
+        header = next(csv.reader(lines), None)
+        if header is None or column not in header:
+            raise ValueError(f"column {column!r} not found in {path}")
+        i = len(header) - 1 - header[::-1].index(column)  # the last of duplicates
+
+        def numbered():  # (line, cell) of each non-blank row; a short row gives None
+            rows = csv.reader(lines)
+            next(rows)
+            return ((rows.line_num, r[i] if i < len(r) else None) for r in rows if r)
+
+        expected = f"a number in column {column!r}"
+    else:
+
+        def numbered():
+            return ((ln, s) for ln, line in enumerate(lines, start=1) if (s := line.strip()))
+
+        expected = "one number per line (use --column for CSV input)"
+    try:  # one numpy call parses every cell as float() does
+        values = np.array([cell for _, cell in numbered()], dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except (TypeError, ValueError):
+        pass  # the loop names the line, or keeps what float() accepts
+    values = []
+    for ln, cell in numbered():
+        try:
+            value = float(cell)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
+        values.append(value)
+    return np.asarray(values, dtype=float)
+
+
+def _read_outcome(reader, path, column):
+    """The bytes ``reader`` returns for ``path``, or the message it raises."""
+    try:
+        return reader(str(path), column).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+#: Cells at the edge of what float() takes; none holds a quote, a comma or a
+#: line end, so each file reads into the same cells both ways.
+_ODD_CELLS = ["1_000", "0x10", "nan", "-inf", "infinity", "1e999", "-1e999", " 2.5 ",
+              "\t3", "+.5", "1e", "", " ", "abc", "\u0661", "1.0.0", "_1"]
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(_ODD_CELLS),
+    st.text("0123456789.eE+-_xnaif ", max_size=6),
+)
+
+
+@st.composite
+def _events_text(draw):
+    """A header or none, then blank lines, short and long rows and quoted
+    cells, each line ended by LF, CR or CRLF."""
+    header = draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=4))
+    cell = _CELL | _CELL.map(lambda c: f'"{c}"')
+    row = st.one_of(st.sampled_from(["", "  ", "\t "]), cell,
+                    st.lists(cell, min_size=2, max_size=5).map(",".join))
+    lines = [",".join(header)] * bool(header) + draw(st.lists(row, min_size=1, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    last_end = draw(st.booleans())
+    return "".join(l + e for l, e in zip(lines, ends))[: None if last_end else -len(ends[-1])]
+
+
 class TestReadEvents:
-    """``cli._read_events``: one numpy parse, and the per-line loop's errors."""
+    """``cli._read_events``: one ``float()`` pass over the lines of the file,
+    and the per-line loop that names the first bad line."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_events_text(), column=st.sampled_from([None, "x", "y", "w"]))
+    def test_same_values_or_message_as_the_splitlines_reader(self, tmp_path, text, column):
+        path = tmp_path / "ev.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert (_read_outcome(cli._read_events, path, column)
+                == _read_outcome(_splitlines_read_events, path, column))
+
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_only_lf_cr_and_crlf_end_a_line(self, tmp_path, column):
+        # str.splitlines also splits on \f, so the old reader took this cell as two events
+        cell = "1.0\f2.0"
+        path = tmp_path / "ev.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(("" if column is None else "x\r\n") + cell + "\r3.0\n")
+        line = 1 if column is None else 2
+        with pytest.raises(ValueError, match=f"ev.csv:{line}: expected .*, got {re.escape(repr(cell))}$"):
+            cli._read_events(str(path), column)
+        assert _splitlines_read_events(str(path), column).tolist() == [1.0, 2.0, 3.0]
+
+    def test_a_quoted_line_end_stays_in_its_cell(self, tmp_path):
+        # RFC 4180: the line end belongs to the quoted cell, which float() refuses
+        cell = "1\n2"
+        path = tmp_path / "ev.csv"
+        path.write_text(f'x\n"{cell}"\n')
+        with pytest.raises(ValueError, match=f"ev.csv:3: expected .*, got {re.escape(repr(cell))}$"):
+            cli._read_events(str(path), "x")
+        assert _splitlines_read_events(str(path), "x").tolist() == [12.0]
+
+    @pytest.mark.parametrize("header", [readout.FRAMES_HEADER, readout.EVENTS_HEADER],
+                             ids=["frames", "one-column"])
+    def test_peak_memory_is_near_the_result(self, tmp_path, header):
+        rows = 200_000
+        columns = np.random.default_rng(4).normal(size=(len(header), rows))
+        path = tmp_path / "ev.csv"
+        readout.write_table(path, header, *columns)
+        column = "measured_delta_e" if len(header) > 1 else None
+        if column is None:  # one value a line, read without --column
+            path.write_text(path.read_text().split("\n", 1)[1])
+        tracemalloc.start()
+        try:
+            events = cli._read_events(str(path), column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events.tobytes() == columns[header.index("measured_delta_e")].tobytes()
+        assert peak < 3 * events.nbytes, peak / events.nbytes
 
     @pytest.mark.parametrize("bad", ["not-a-number", "nan"])
     @pytest.mark.parametrize("column", [None, "x"])
@@ -414,6 +562,18 @@ class TestSnr:
     def test_bad_flag_exit(self):
         res = run_cli("snr", "--n", "abc")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--n", "nan", "--n must be finite"),
+        ("--n", "inf", "--n must be finite"),
+        ("--sigma-e", "inf", "--sigma-e must be finite"),
+        ("--sigma-e", "1e-320", "(from --sigma-e) is inf, not finite"),
+    ], ids=["n-nan", "n-inf", "sigma-e-inf", "snr-inf"])
+    def test_non_finite_value_or_snr_exit_1(self, flag, value, shown):
+        res = run_cli("snr", flag, value)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert shown in single_json_error(res)["message"]
 
     def test_sigma_from_psd_with_direct_noise_exit_1(self, tmp_path):
         cfg = write_direct_config(tmp_path / "cfg.json")
