@@ -240,33 +240,46 @@ def _read_events(path: str, column: str | None) -> np.ndarray:
                 raise ValueError(f"column {column!r} not found in {path}")
             i = len(header) - 1 - header[::-1].index(column)  # the last of duplicates
 
-            def numbered():  # (line, cell) of each non-blank row; a short row gives None
+            def records():  # the rows after the header
                 fh.seek(0)
                 rows = csv.reader(fh)
                 next(rows)
-                return ((rows.line_num, r[i] if i < len(r) else None) for r in rows if r)
+                return rows
+
+            def cells(rows):  # a non-blank row's cell; a short row gives None
+                return (r[i] if i < len(r) else None for r in rows if r)
+
+            def numbered(rows):
+                return ((rows.line_num, r) for r in rows)
 
             expected = f"a number in column {column!r}"
         else:
 
-            def numbered():
+            def records():
                 fh.seek(0)
-                return ((ln, s) for ln, line in enumerate(fh, start=1) if (s := line.strip()))
+                return fh
+
+            def cells(lines):  # each non-blank line, stripped
+                return (s for line in lines if (s := line.strip()))
+
+            def numbered(lines):
+                return enumerate(lines, start=1)
 
             expected = "one number per line (use --column for CSV input)"
         try:  # the one value path: float() on every cell
-            values = np.fromiter(map(float, (cell for _, cell in numbered())), float)
+            values = np.fromiter(map(float, cells(records())), float)
             if np.isfinite(values).all():
                 return values
         except (TypeError, ValueError):
             pass
-        for ln, cell in numbered():  # only names the first bad line
-            try:
-                value = float(cell)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
+        for ln, record in numbered(records()):  # only names the first bad line
+            for cell in cells((record,)):
+                try:
+                    value = float(cell)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{ln}: expected {expected}, got {cell!r}") from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{ln}: events must be finite, got {cell!r}")
     raise ValueError(f"{path} changed while it was read")
 
 
@@ -291,9 +304,9 @@ def _cmd_fit(args) -> int:
     hist = build_histogram(events, width)
     fit = fit_mixture(events, l_max=args.l_max)
 
-    degenerate = not math.isfinite(fit.stderr_n)
+    no_stderr = not math.isfinite(fit.stderr_n)
     chi2 = dof = None
-    if fit.converged and not degenerate:
+    if fit.converged and fit.degenerate is None and not no_stderr:
         try:
             chi2, dof = goodness_of_fit(hist, fit)
         except ValueError:
@@ -314,6 +327,7 @@ def _cmd_fit(args) -> int:
             "log_likelihood": _json_safe(fit.log_likelihood),
             "iterations": fit.n_iterations,
             "converged": fit.converged,
+            "degenerate": fit.degenerate,
             "chi2": chi2,
             "dof": dof,
             "snr_implied": fit.n_hat / fit.sigma_hat,
@@ -324,7 +338,7 @@ def _cmd_fit(args) -> int:
                 xs, dens, hist.total * hist.bin_width * dens)
     write_table(out_dir / "histogram.csv", ("bin_center", "count", "expected_count"),
                 hist.bin_centers, hist.counts, expected)
-    if degenerate:
+    if no_stderr:
         return _fail(2, f"degenerate fit: stderr_n is {fit.stderr_n} at n_hat "
                         f"{fit.n_hat!r}, sigma_hat {fit.sigma_hat!r}")
     return 0 if fit.converged else 2

@@ -31,17 +31,18 @@ Every likelihood pass (``fit_mixture``, ``log_likelihood``,
 ``log_likelihood_grad``, ``mixture_density``) has one set-up, ``_passes``,
 which refuses an ``n`` or ``sigma`` not finite and above 0 with
 ``ValueError``, and runs over events in chunks of ``_EVENT_CHUNK`` through
-one workspace (:class:`_Workspace`): a residual buffer ``d``, a log-term
-buffer that is turned in place into exponentials and then responsibilities,
-and ``_PASS_VECTORS`` chunk vectors that hold the pass's per-event
-values, the moments of the information among them. ``fit_mixture``
-allocates it once and every pass reuses it, so a pass allocates no float
-array of the chunk's size. Both buffers are
-component-major: ``(k, chunk)`` arrays whose row ``j`` holds component
+one workspace (:class:`_Workspace`): one buffer, whose log-terms are turned
+in place into exponentials, and ``_PASS_VECTORS`` chunk vectors that hold
+the pass's per-event values. No cell is normalised into a responsibility:
+the EM statistics and the information come from each event's moments of
+its exponentials (``_moment_sums``), built in the chunk vectors.
+``fit_mixture`` allocates the workspace once and every pass reuses it, so a
+pass allocates no float array of the chunk's size. The buffer is
+component-major: a ``(k, chunk)`` array whose row ``j`` holds component
 ``lo + j`` of every event. Each step of the pass is then one whole-block
 operation or one operation per component row, each a long contiguous vector
-over the events; the maximum, the sum and the responsibility sums over the
-components add one row at a time, in component order.
+over the events; the maximum, the sum and the moments over the components
+add one row, or one pair of rows, at a time, in a fixed order.
 
 Each event is evaluated only at the band of ``2B + 1`` components around its
 nearest integer that can reach its log-sum-exp (``_band_half_width``). ``B``
@@ -86,15 +87,20 @@ _EVENT_CHUNK = 1 << 16
 #: of one value per event do not count. Counted per call, with room for the
 #: small arrays beside them: ``_WEIGHT_ARRAYS`` of ``l_max + 1`` doubles (at
 #: most four held), ``_CHUNK_VECTORS`` of a likelihood pass's chunk beside
-#: its two buffers (the workspace's ``_PASS_VECTORS`` and at most two more)
-#: and ``_EDGE_ARRAYS`` the length of the bin edges (at most four: the
-#: counts, edges, CDF and term buffer).
+#: its buffer (the workspace's ``_PASS_VECTORS`` and at most two more) and
+#: ``_EDGE_ARRAYS`` the length of the bin edges (at most four: the counts,
+#: edges, CDF and term buffer).
 _MAX_WORKSPACE_BYTES = 1 << 28
 _WEIGHT_ARRAYS = 4
-_CHUNK_VECTORS = 8
-_PASS_VECTORS = 6
+_CHUNK_VECTORS = 10
+_PASS_VECTORS = 8
 _EDGE_ARRAYS = 5
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+#: A chunk sums its EM statistics row by row once some event's second moment
+#: about the band's middle row exceeds this many times the chunk's mean
+#: squared residual (``_moment_sums``); below it the moment expansion keeps
+#: ``sum(r d^2)`` to about 1e-13 relative.
+_EXPANSION_LIMIT = 256.0
 
 #: The fit stops once the Newton decrement ``g^T I^-1 g / 2`` of an accepted
 #: point, or the log-likelihood gained between two accepted points, is
@@ -152,7 +158,9 @@ class MixtureFit:
     ``n_iterations`` counts the E-step passes; ``stderr_n`` is the asymptotic
     standard error of ``n_hat``, ``sqrt((I^-1)_nn)`` of the observed
     information ``I`` at the returned point, NaN where that is not a
-    positive number.
+    positive number. ``degenerate`` is None, or says why that standard
+    error does not hold: ``n_hat`` sits at its floor, or ``I`` is not
+    positive definite. It does not change what ``converged`` means.
     """
 
     n_hat: float
@@ -162,6 +170,7 @@ class MixtureFit:
     n_iterations: int
     converged: bool
     stderr_n: float
+    degenerate: str | None = None
 
 
 def build_histogram(events, bin_width: float) -> Histogram:
@@ -240,13 +249,14 @@ class _Workspace:
     """Kernel buffers for one chunk of ``n_events`` events, reused across passes.
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
-    pass would hold ``_MAX_WORKSPACE_BYTES`` or more, counting both buffers,
+    pass would hold ``_MAX_WORKSPACE_BYTES`` or more, counting the buffer,
     the weight and chunk arrays (the ``_PASS_VECTORS`` chunk vectors of
-    ``vectors`` among them), and numpy's iterator buffer, which a
-    broadcast over a short event axis fills. The buffers are laid out
+    ``vectors`` among them), and two of numpy's iterator buffers, which a
+    broadcast over a short event axis fills. The buffer is laid out
     component-major: a pass over ``k`` components of a chunk of ``c`` events
-    views the first ``k * c`` cells of each as a C-contiguous ``(k, c)``
-    array whose row ``j`` holds component ``lo + j`` of every event.
+    views its first ``k * c`` cells as a C-contiguous ``(k, c)`` array whose
+    row ``j`` holds component ``lo + j`` of every event. ``rows`` holds the
+    offsets ``0 .. l_max`` as floats.
     """
 
     def __init__(self, n_events: int, l_max: int):
@@ -254,13 +264,13 @@ class _Workspace:
             raise ValueError(f"l_max must be >= 1, got {l_max}")
         chunk = min(n_events, _EVENT_CHUNK)
         cells = chunk * (l_max + 1)
-        _refuse_over_limit(2 * cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
-                           + np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
-        # the vectors first: below the buffers on the heap, they keep no freed
+        _refuse_over_limit(cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
+                           + 2 * np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
+        # the vectors first: below the buffer on the heap, they keep no freed
         # buffer from going back to the system
         self.vectors = np.empty(_PASS_VECTORS * chunk)  # event vectors, then the moments
-        self.d = np.empty(cells)  # log-weights -> residuals x - l
-        self.a = np.empty(cells)  # log-terms -> exponentials -> responsibilities
+        self.rows = np.arange(l_max + 1.0)
+        self.a = np.empty(cells)  # log-terms -> exponentials -> moment terms
 
 
 def _band_half_width(n: float, sigma: float, l_max: int) -> int | None:
@@ -316,15 +326,15 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
     ``lo = clip(rint(x), h, l_max + 1 - k + h) - h`` and ``h = k // 2``: the
     band of :func:`_band_half_width` for ``k = 2B + 1``, and every component,
     from ``lo = 0``, for ``k = l_max + 1``.
-    Fills ``ws`` in place and returns ``lo`` and ``(k, x.size)`` views
-    ``(d, e)`` of its first ``k * x.size`` cells, whose row ``j`` holds
-    component ``lo + j`` of every event: the residuals ``x - lo - j`` and the
-    shifted exponentials ``exp(a - m)`` of the log-terms ``a`` (``m`` the
-    event's largest log-term, 0 where it is not finite). Also returns the
-    event vectors ``(lse, s)``, ``s`` the sum of the rows of ``e`` in row
-    order, and ``vectors``, the ``(_PASS_VECTORS, x.size)`` view of the
-    workspace's chunk vectors, which hold every event vector of the pass:
-    ``s`` and ``lse`` are its rows 0 and 1, valid until the next row
+    Fills ``ws`` in place and returns ``lo``, the shifted events ``x - lo``
+    and the ``(k, x.size)`` view ``e`` of the buffer's first ``k * x.size``
+    cells, whose row ``j`` holds the shifted exponential ``exp(a - m)`` of
+    component ``lo + j`` of every event (``a`` its log-term, ``m`` the event's
+    largest log-term, 0 where it is not finite). Also returns the event
+    vectors ``(lse, s)``, ``s`` the sum of the rows of ``e`` in row order, and
+    ``vectors``, the ``(_PASS_VECTORS, x.size)`` view of the workspace's chunk
+    vectors, which hold every event vector of the pass: ``s``, ``lse`` and
+    the shifted events are its rows 0 to 2, valid until the next row
     operation on them. Events whose log-terms are all -inf get lse = -inf and
     s = 0. Every step is a whole-block operation or one per row, each over
     the contiguous event axis.
@@ -339,32 +349,28 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
     lo = c.astype(np.intp)
     lo -= half
     np.subtract(x, lo, out=shifted)
-    d = ws.d[: k * x.size].reshape(k, x.size)
     a = ws.a[: k * x.size].reshape(k, x.size)
-    # lo + j <= l_max always; "clip" lets np.take write straight into out
-    for j in range(k):
-        np.take(log_w[j:], lo, out=d[j], mode="clip")
-    for j in range(k):
-        np.subtract(shifted, j, out=a[j])
+    np.subtract(shifted, ws.rows[:k, None], out=a)
     with np.errstate(over="ignore"):
         np.divide(a, sigma, out=a)
         np.square(a, out=a)
         np.multiply(a, 0.5, out=a)
-        np.subtract(d, a, out=a)
-    # d held the gathered log-weights until now
-    for j in range(k):
-        np.subtract(shifted, j, out=d[j])
+        # lo + j <= l_max always; "clip" lets np.take write straight into out
+        for j in range(k):
+            np.take(log_w[j:], lo, out=m, mode="clip")
+            np.subtract(m, a[j], out=a[j])
     np.copyto(m, a[0])
     for j in range(1, k):
         np.maximum(m, a[j], out=m)
-    m[~np.isfinite(m)] = 0.0
+    if not np.isfinite(m).all():
+        m[~np.isfinite(m)] = 0.0
     np.subtract(a, m, out=a)
     np.exp(a, out=a)
     _component_sum(a, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(s, out=lse)
     np.add(m, lse, out=lse)
-    return lo, d, a, lse, s, vectors
+    return lo, shifted, a, lse, s, vectors
 
 
 def _passes(events, n, sigma, l_max, ws=None):
@@ -446,122 +452,147 @@ def _em_pass(events, n, sigma, l_max, ws=None, information=False):
     Returns ``(ll, sum(r l), sum(r d^2))`` over responsibilities ``r`` and
     residuals ``d = x - l``; with ``information``, the observed information
     ``(i_nn, i_ns, i_ss)`` of ``(n, sigma)`` at this point follows as a
-    fourth item (:func:`_information_terms`). Chunks come in a fixed order,
-    so the sums do not depend on how the event array was produced. ``ws`` is
-    a :class:`_Workspace` for these events and ``l_max``; without one the
-    pass allocates its own.
+    fourth item, NaN where ll is -inf. The statistics and the information
+    come from moments of each event's exponentials (:func:`_moment_sums`),
+    so the pass holds one ``(k, chunk)`` buffer and normalises no cell of
+    it. Chunks come in a fixed order, so the sums do not depend on how the
+    event array was produced. ``ws`` is a :class:`_Workspace` for these
+    events and ``l_max``; without one the pass allocates its own.
     """
     chunks = _passes(events, n, sigma, l_max, ws)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
-    ll = sum_rl = sum_rsq = 0.0
-    terms = [0.0, 0.0, 0.0]
-    for lo, d, r, lse, s, vectors in chunks:
-        with np.errstate(invalid="ignore"):
-            np.divide(r, s, out=r)
-        r[:, s == 0.0] = 0.0
+    ll = 0.0
+    sums = [0.0] * 5
+    for lo, shifted, e, lse, s, vectors in chunks:
         ll += float(np.sum(np.add(lse, log_norm, out=lse)))
-        # sum(r l) = sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
-        sum_rl += float(np.sum(np.sum(r, axis=1) * np.arange(r.shape[0])))
-        sum_rl += float(np.sum(np.multiply(_component_sum(r, s), lo, out=s)))
-        if information:
-            for i, term in enumerate(_information_terms(lo, d, r, n, sigma, vectors)):
-                terms[i] += term
-        # (r * d) * d, not r * d**2: the sum must see the same roundings
-        np.multiply(r, d, out=r)
-        np.multiply(r, d, out=r)
-        sum_rsq += float(np.sum(r))
+        for i, term in enumerate(_moment_sums(lo, shifted, e, s, vectors, n, information)):
+            sums[i] += term
+    sum_rl, sum_rsq, sum_nn, sum_cov, sum_var = sums
     if not information:
         return ll, sum_rl, sum_rsq
-    sum_nn, sum_cov, sum_ss = terms
+    if ll == -math.inf:  # an event with no density here: no information either
+        return ll, sum_rl, sum_rsq, (math.nan, math.nan, math.nan)
     # each division by sigma on its own, so no power of it overflows
-    info = (sum_nn / n / n, -sum_cov / n, (sum_ss - events.size) / sigma / sigma)
+    sum_ss = 3.0 * (sum_rsq / sigma / sigma) - sum_var / sigma / sigma / sigma / sigma
+    info = (sum_nn / n / n, -sum_cov / n / sigma / sigma / sigma,
+            (sum_ss - events.size) / sigma / sigma)
     return ll, sum_rl, sum_rsq, info
 
 
-def _information_terms(lo, d, r, n, sigma, vectors):
-    """One chunk's sums for the observed information (Louis 1982), ``r`` unchanged.
+def _moment_sums(lo, shifted, e, s, vectors, n, information):
+    """One chunk's EM statistics from per-event moments; ``vectors`` and ``s`` overwritten.
 
-    The responsibilities ``r`` of the ``k`` band rows give each event the
-    moments ``q_p = sum_j r_j z_j^p`` (``p <= 4``) of ``z_j = (j - h) / sigma``
-    about row ``h = min(k // 2, round(n))``: the band's middle row, where a
-    banded event has its nearest integer, or, where the band is every
-    component from 0, the row of the Poisson mean, near which the
-    responsibilities of a wide sigma lie. Centred there the moments add
-    numbers of like size, also for a clipped outlier and for ``n`` near 0.
-    The event's component is ``l = lo + h + sigma z``, so ``E[l] - Var(l) =
-    lo + h + sigma (q1 - sigma v)``, formed per event: near ``n = 0`` it is
-    about ``E[l]^2``, far below either term. Its residual in
-    units of sigma is ``t = (x - l) / sigma = w - z``, ``w = d_h / sigma``
-    (``d_h = x - lo - h``, row ``h`` of ``d``). With ``v = q2 - q1^2 =
-    Var(z)`` and ``a = q3 - q1 q2 = Cov(z, z^2)`` that gives ``E[t^2] = w^2 -
-    2 w q1 + q2``, ``Var(t^2) = q4 - q2^2 - 4 w a + 4 w^2 v`` and ``Cov(z,
-    t^2) = a - 2 w v``. The complete-data scores are ``l / n - 1`` and ``(t^2
-    - 1) / sigma``, and their derivatives ``-l / n^2``, 0 and ``(1 - 3 t^2) /
-    sigma^2``, so by Louis's identity an event adds ``(E[l] - sigma^2 v) /
-    n^2``, ``-Cov(z, t^2) / n`` and ``(3 E[t^2] - 1 - Var(t^2)) / sigma^2``
-    to the information.
+    ``e`` holds the unnormalised exponentials of the ``k`` band rows and
+    ``s`` their sum (:func:`_chunk_softmax`); no cell is divided by ``s``.
+    Each event gets the moments ``c_p = sum_j e_j u_j^p / s`` (``p <= 4``)
+    of ``u_j = j - h`` about row ``h = min(k // 2, round(n))``: the band's
+    middle row, where a banded event has its nearest integer, or, where the
+    band is every component from 0, the row of the Poisson mean, near which
+    the responsibilities of a wide sigma lie. Rows ``h + delta`` and ``h -
+    delta`` share ``u^2`` and ``u^4`` and have opposite ``u`` and ``u^3``,
+    so the moments add the pair's sum and difference, or the one row that
+    exists. With ``d = x - lo - h``, ``E[l] = lo + h + c_1`` and the
+    residual is ``x - l = d - u``, so ``E[(x - l)^2] = (d - c_1)^2 +
+    Var(l)``, ``Var(l) = c_2 - c_1^2``, in electrons: no power of sigma is
+    formed. Returns ``(sum(r l), sum(r d^2))``; an event with ``s = 0`` (no
+    finite log-term) has responsibilities 0, so it adds nothing to the
+    first and ``(0 d) d`` to the second, which is NaN for an infinite event.
 
-    Returns the chunk sums of ``E[l] - Var(l)``, ``Cov(z, t^2)`` and ``3
-    E[t^2] - Var(t^2)``. Every term is in units of sigma, so no power of sigma is
-    formed. Rows ``h + delta`` and ``h - delta`` share ``z^2`` and ``z^4``, so
-    the moments add their sum and difference, or the one row that exists.
-    The six chunk vectors are the rows of ``vectors``, whose values are
-    overwritten.
+    The moments lose what lies below ``eps c_2``, and ``lo + h + c_1``
+    what lies below ``eps (lo + h)``: little for an event whose mass lies
+    near row ``h``. A chunk where ``sum(r l)`` falls below a quarter of
+    ``sum(lo + h)``, or where some event's ``c_2`` exceeds
+    ``_EXPANSION_LIMIT`` times the mean ``E[(x - l)^2]``, sums both
+    statistics row by row instead, from terms that are all >= 0: ``lo +
+    sum_j j e_j / s`` and ``sum_j e_j (x - lo - j)^2 / s``. That keeps both
+    to about 1e-13 relative, also where the mass sits at a clipped band's
+    edge or far below the Poisson mean.
+
+    With ``information`` three more sums follow, for Louis's identity
+    (Louis 1982): of ``E[l] - Var(l)``, ``Cov(l, (x - l)^2)`` and ``Var((x
+    - l)^2)``. With ``v = Var(l)`` and ``A = c_3 - c_1 c_2 = Cov(u, u^2)``,
+    ``Cov(l, (x - l)^2) = A - 2 d v`` and ``Var((x - l)^2) = c_4 - c_2^2 -
+    4 d A + 4 d^2 v``. The complete-data scores are ``l / n - 1`` and ``(t^2
+    - 1) / sigma`` (``t = (x - l) / sigma``), and their derivatives ``-l /
+    n^2``, 0 and ``(1 - 3 t^2) / sigma^2``, so an event adds ``(E[l] -
+    Var(l)) / n^2``, ``-Cov(l, t^2) / (n sigma)`` and ``(3 E[t^2] - 1 -
+    Var(t^2)) / sigma^2`` to the information.
     """
-    k, size = r.shape
+    k, size = e.shape
     h = min(k // 2, round(n))
-    q1, q2, q3, q4, even, odd = vectors
+    _, c1, shifted, c2, c3, c4, even, odd = vectors
     for delta in range(1, max(h, k - 1 - h) + 1):
-        z = delta / sigma
-        z2 = z * z
-        if 0 <= h - delta and h + delta < k:
-            np.add(r[h + delta], r[h - delta], out=even)
-            np.subtract(r[h + delta], r[h - delta], out=odd)
-        elif h + delta < k:
-            np.copyto(even, r[h + delta])
-            np.copyto(odd, r[h + delta])
+        up, down = h + delta, h - delta
+        # the pair's sum and difference; at delta 1 straight into c2 and c1
+        pair_sum, pair_diff = (c2, c1) if delta == 1 else (even, odd)
+        if 0 <= down and up < k:
+            np.add(e[up], e[down], out=pair_sum)
+            np.subtract(e[up], e[down], out=pair_diff)
+        elif up < k:
+            np.copyto(pair_sum, e[up])
+            np.copyto(pair_diff, e[up])
         else:
-            np.copyto(even, r[h - delta])
-            np.negative(r[h - delta], out=odd)
+            np.copyto(pair_sum, e[down])
+            np.negative(e[down], out=pair_diff)
         if delta == 1:
-            np.multiply(odd, z, out=q1)
-            np.multiply(q1, z2, out=q3)
-            np.multiply(even, z2, out=q2)
-            np.multiply(q2, z2, out=q4)
+            if information:
+                np.copyto(c3, c1)
+                np.copyto(c4, c2)
             continue
-        for q, term, power in ((q1, odd, z), (q3, odd, z2), (q2, even, z2), (q4, even, z2)):
-            np.multiply(term, power, out=term)
-            np.add(q, term, out=q)
-    with np.errstate(all="ignore"):  # only an event with no finite log-term overflows
-        # q3 <- a, even <- v, odd <- E[l] - Var(l) - h, then w
-        np.multiply(q1, q2, out=even)
-        np.subtract(q3, even, out=q3)
-        np.multiply(q1, q1, out=even)
-        np.subtract(q2, even, out=even)
-        np.multiply(even, sigma, out=odd)
-        np.subtract(q1, odd, out=odd)
-        np.multiply(odd, sigma, out=odd)
-        np.add(odd, lo, out=odd)
-        sum_nn = float(np.sum(odd)) + h * size
-        np.divide(d[h], sigma, out=odd)
-        # q3 <- a - w v, even <- a - 2 w v = Cov(z, t^2)
-        np.multiply(even, odd, out=even)
-        np.subtract(q3, even, out=q3)
-        np.subtract(q3, even, out=even)
-        sum_cov = float(np.sum(even))
-        # q3 <- 4 w (a - w v) - q4, q1 <- 3 E[t^2] + q3 + q2^2 = 3 E[t^2] - Var(t^2)
-        np.multiply(q3, odd, out=q3)
-        np.multiply(q3, 4.0, out=q3)
-        np.subtract(q3, q4, out=q3)
-        np.multiply(q1, -2.0, out=q1)
-        np.add(q1, odd, out=q1)
-        np.multiply(q1, odd, out=q1)
-        np.add(q1, q2, out=q1)
-        np.multiply(q1, 3.0, out=q1)
-        np.add(q1, q3, out=q1)
-        np.multiply(q2, q2, out=q2)
-        np.add(q1, q2, out=q1)
-        return sum_nn, sum_cov, float(np.sum(q1))
+        delta2 = float(delta * delta)
+        np.add(c1, np.multiply(odd, delta, out=odd), out=c1)
+        np.add(c2, np.multiply(even, delta2, out=even), out=c2)
+        if information:
+            np.add(c3, np.multiply(odd, delta2, out=odd), out=c3)
+            np.add(c4, np.multiply(even, delta2, out=even), out=c4)
+    lo_sum = int(np.sum(lo))
+    live = size
+    if not s.all():
+        dead = s == 0.0
+        s[dead] = 1.0  # every e of such an event is 0, and so is every moment
+        live -= int(np.count_nonzero(dead))
+        lo_sum -= int(np.sum(lo[dead]))
+    inv_s = np.divide(1.0, s, out=s)
+    for moment in (c1, c2, c3, c4) if information else (c1, c2):
+        np.multiply(moment, inv_s, out=moment)
+    centres = lo_sum + h * live  # sum(lo + h) over the events with s > 0
+    sum_rl = float(centres) + float(np.sum(c1))
+    var, sq = even, odd
+    with np.errstate(all="ignore"):  # only an event far outside its band overflows
+        # sq <- E[(x - l)^2] = (d - c1)^2 + Var(l), with d = x - lo - h
+        np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
+        np.subtract(np.subtract(shifted, h, out=sq), c1, out=sq)
+        np.add(np.square(sq, out=sq), var, out=sq)
+        if live < size:
+            sq[dead] = 0.0 * shifted[dead]
+        sum_rsq = float(np.sum(sq))
+        if sum_rl < centres / 4.0 or np.max(c2) > _EXPANSION_LIMIT / size * sum_rsq:
+            # both sums row by row: sum_j j e_j, and (e_j (x - lo - j)) (x - lo - j),
+            # which is 0, not NaN, for an event with s = 0 and a finite x
+            np.copyto(var, e[1])
+            for j in range(2, k):
+                np.add(var, np.multiply(e[j], j, out=sq), out=var)
+            sum_rl = float(lo_sum) + float(np.sum(np.multiply(var, inv_s, out=var)))
+            np.multiply(np.multiply(e[0], shifted, out=var), shifted, out=var)
+            for j in range(1, k):
+                np.subtract(shifted, j, out=sq)
+                np.add(var, np.multiply(np.multiply(e[j], sq, out=e[j]), sq, out=e[j]), out=var)
+            sum_rsq = float(np.sum(np.multiply(var, inv_s, out=var)))
+            np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
+        if not information:
+            return sum_rl, sum_rsq
+        d, tmp = np.subtract(shifted, h, out=shifted), sq
+        sum_nn = float(np.sum(np.subtract(c1, var, out=tmp))) + centres
+        # c3 <- A - d v, tmp <- A - 2 d v, with A = c3 - c1 c2 = Cov(u, u^2)
+        np.subtract(c3, np.multiply(c1, c2, out=tmp), out=c3)
+        np.subtract(c3, np.multiply(d, var, out=tmp), out=c3)
+        sum_cov = float(np.sum(np.subtract(c3, tmp, out=tmp)))
+        # c4 <- c4 - 4 d (A - d v) - c2^2
+        np.multiply(c3, d, out=c3)
+        np.multiply(c3, 4.0, out=c3)
+        np.subtract(c4, c3, out=c4)
+        np.subtract(c4, np.multiply(c2, c2, out=c2), out=c4)
+        return sum_rl, sum_rsq, sum_nn, sum_cov, float(np.sum(c4))
 
 
 def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
@@ -569,7 +600,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
 
     One pass runs the E-step at a point. It distributes each event over the
     integer components and gives the point's log-likelihood, its gradient,
-    its observed information ``I`` (:func:`_information_terms`) and its EM
+    its observed information ``I`` (:func:`_moment_sums`) and its EM
     image: the M-step's Poisson mean from the responsibility-weighted
     component indices and width from the responsibility-weighted squared
     residuals (clamped at ``_N_FLOOR`` and ``SIGMA_FLOOR``). The fit starts
@@ -640,7 +671,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     passes = 0
 
     def em_map(theta):
-        """One E-step at ``theta``: ll, EM image and ``(proposal, decrement, var_n)``.
+        """One E-step at ``theta``: ll, EM image and ``(proposal, decrement, information)``.
 
         The proposal is the point to try next: the Newton step from
         ``theta``, or the EM image where that gains more to first order; None
@@ -653,13 +684,13 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         image = np.array([max(sum_rl / events.size, _N_FLOOR),
                           max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR)])
         g_n, g_s = _gradient(events.size, n, sigma, sum_rl, sum_rsq)
-        step, decrement, var_n = _newton(g_n, g_s, info)
+        step, decrement = _newton(g_n, g_s, info)
         if step is None:
-            return ll, image, (None, decrement, var_n)
+            return ll, image, (None, decrement, info)
         # far from the optimum the EM step can reach further than the local
         # quadratic model, whose gain to first order is g^T I^-1 g
         em_gain = g_n * (image[0] - n) + g_s * (image[1] - sigma)
-        return ll, image, (image if em_gain > 2.0 * decrement else theta + step, decrement, var_n)
+        return ll, image, (image if em_gain > 2.0 * decrement else theta + step, decrement, info)
 
     def check_increase(ll_from, ll_to):
         if ll_to < ll_from - 1e-8 * (1.0 + abs(ll_from)):
@@ -672,7 +703,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         return _N_FLOOR <= theta[0] < np.inf and SIGMA_FLOOR <= theta[1] < np.inf
 
     # theta is the last accepted point, ll its log-likelihood, image its EM
-    # image and newton its (proposal, decrement, var_n)
+    # image and newton its (proposal, decrement, information)
     theta = np.array([max(sample_mean, 0.05), 0.3])
     ll, image, newton = em_map(theta)
     converged = False
@@ -719,7 +750,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         if converged:
             break
 
-    var_n = newton[2]
+    stderr_n, degenerate = _standard_error(float(theta[0]), newton[2])
     return MixtureFit(
         n_hat=float(theta[0]),
         sigma_hat=float(theta[1]),
@@ -727,29 +758,50 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         log_likelihood=ll,
         n_iterations=passes,
         converged=converged,
-        stderr_n=math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan,
+        stderr_n=stderr_n,
+        degenerate=degenerate,
     )
 
 
 def _newton(g_n, g_s, info):
-    """``(step, decrement, var_n)`` of the Newton step ``I^-1 g`` at one point.
+    """``(step, decrement)`` of the Newton step ``I^-1 g`` at one point.
 
     ``I`` is the 2x2 observed information ``(i_nn, i_ns, i_ss)`` and ``g``
     the gradient, both of ``(n, sigma)``; the inverse is in closed form, so
     no BLAS or LAPACK call is made. The step is None unless ``I`` is
-    positive definite; the decrement is ``g^T I^-1 g / 2`` and ``var_n`` is
-    ``(I^-1)_nn``, the asymptotic variance of ``n`` (NaN where ``I`` is
-    singular).
+    positive definite; the decrement is ``g^T I^-1 g / 2`` (NaN where ``I``
+    is singular).
     """
     i_nn, i_ns, i_ss = info
     det = i_nn * i_ss - i_ns * i_ns
     if not det != 0.0:
-        return None, math.nan, math.nan
+        return None, math.nan
     step_n, step_s = (i_ss * g_n - i_ns * g_s) / det, (i_nn * g_s - i_ns * g_n) / det
     decrement = 0.5 * (g_n * step_n + g_s * step_s)
     if not (i_nn > 0.0 and det > 0.0 and math.isfinite(decrement)):
-        return None, decrement, i_ss / det
-    return np.array([step_n, step_s]), decrement, i_ss / det
+        return None, decrement
+    return np.array([step_n, step_s]), decrement
+
+
+def _standard_error(n_hat, info):
+    """``(stderr_n, degenerate)`` of a fit from the information ``I`` at its point.
+
+    ``stderr_n`` is ``sqrt((I^-1)_nn)``, NaN unless that is a positive
+    number. ``degenerate`` names why the usual asymptotic standard error
+    does not hold, or is None: ``n_hat`` at its floor ``_N_FLOOR``, a
+    boundary of the parameter space (Self & Liang 1987, J. Am. Stat. Assoc.
+    82:605), or an ``I`` that is not finite and positive definite.
+    """
+    i_nn, i_ns, i_ss = info
+    det = i_nn * i_ss - i_ns * i_ns
+    var_n = i_ss / det if det != 0.0 else math.nan
+    reasons = []
+    if n_hat <= _N_FLOOR:
+        reasons.append(f"n_hat is at its floor {_N_FLOOR}")
+    if not (i_nn > 0.0 and 0.0 < det < math.inf and math.isfinite(i_ss)):
+        reasons.append("the observed information is not positive definite")
+    stderr_n = math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan
+    return stderr_n, "; ".join(reasons) or None
 
 
 def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarray:

@@ -329,6 +329,21 @@ class TestFit:
             assert (out / "fitted_curve.csv").exists()
             assert (out / "histogram.csv").exists()
 
+    def test_fit_json_names_a_degenerate_fit(self, tmp_path, capsys):
+        # the wide set converges, and fit.json says why its fit is degenerate;
+        # a fit of the model's own events says null
+        events = np.random.default_rng(1).normal(-50.0, 50.0, 500)
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"{e!r}\n" for e in events.tolist()))
+        code, _ = main_error(capsys, "fit", path, "--out", tmp_path / "wide")
+        fit = json.loads((tmp_path / "wide" / "fit.json").read_text())
+        assert code == 2 and fit["converged"] is True
+        assert fit["degenerate"] == "the observed information is not positive definite"
+        path = write_events(tmp_path / "ev.txt")
+        assert cli.main(["fit", str(path), "--out", str(tmp_path / "ok")]) == 0
+        fit = json.loads((tmp_path / "ok" / "fit.json").read_text())
+        assert fit["degenerate"] is None and fit["chi2"] is not None
+
     def test_unclosed_quote_past_the_field_limit_exit_1(self, tmp_path, capsys):
         path = tmp_path / "ev.csv"
         path.write_text('x\n"' + "1" * 200_000 + "\n")
@@ -809,9 +824,9 @@ class TestFitInputBounds:
         assert not (tmp_path / "f").exists()
 
     def test_l_max_bound_counts_one_event_chunk(self, tmp_path, capsys):
-        # each of the two buffers holds min(N, chunk) events, so a cutoff that
-        # a full chunk cannot afford passes the check for a few events
-        l_max = estimation._MAX_WORKSPACE_BYTES // (16 * estimation._EVENT_CHUNK)
+        # the buffer holds min(N, chunk) events, so a cutoff that a full
+        # chunk cannot afford passes the check for a few events
+        l_max = estimation._MAX_WORKSPACE_BYTES // (8 * estimation._EVENT_CHUNK)
         few = write_events(tmp_path / "few.txt")
         assert cli.main(["fit", str(few), "--out", str(tmp_path / "ok"),
                          "--l-max", str(l_max)]) == 0

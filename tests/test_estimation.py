@@ -239,52 +239,60 @@ def _sequential_sum(rows):
 
 
 def _reference_softmax(w, d, sigma):
-    """``(lse, r)`` of the ``(k, N)`` log-weights ``w`` and residuals ``d``, one exp."""
+    """``(lse, e, s)`` of the ``(k, N)`` log-weights ``w`` and residuals ``d``, one exp."""
     with np.errstate(over="ignore"):
         a = w - 0.5 * (d / sigma) ** 2
     m = np.max(a, axis=0)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(a - safe_m)
     s = _sequential_sum(e)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         lse = safe_m + np.log(s)
+    return lse, e, s
+
+
+def _responsibilities(e, s):
+    """``e / s``, 0 for an event whose ``s`` is 0."""
+    with np.errstate(invalid="ignore"):
         r = e / s
     r[:, s == 0.0] = 0.0
-    return lse, r
+    return r
 
 
 def _reference_chunks(events, n, sigma, l_max):
     """The E-step over every component as one exp over fresh arrays, kept literally.
 
     Row ``l`` of the ``(l_max + 1, N)`` arrays holds component ``l`` of every
-    event; the workspace kernel must reproduce every bit of this arithmetic
-    where its band covers every component.
+    event; its log-sum-exp has the bits of the kernel's where the kernel's
+    band covers every component.
     """
     ls = np.arange(l_max + 1)
     log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
     for start in range(0, events.size, 1 << 16):
         d = events[start : start + (1 << 16)] - ls[:, None]
-        lse, r = _reference_softmax(log_w[:, None], d, sigma)
-        yield d, lse, r
+        lse, e, s = _reference_softmax(log_w[:, None], d, sigma)
+        yield d, lse, _responsibilities(e, s)
 
 
-def _banded_reference_chunks(events, n, sigma, l_max, b):
-    """The banded E-step kept literally: a plain ``(2b + 1, N)`` gather, one exp.
+def _band_reference_chunks(events, n, sigma, l_max):
+    """The E-step over the kernel's band kept literally: a plain ``(k, N)`` gather, one exp.
 
-    Event ``x`` sums the ``2b + 1`` components from ``lo = c - b``,
-    ``c = clip(rint(x), b, l_max - b)``, row ``j`` holding component
-    ``lo + j``; the workspace kernel must reproduce every bit of this
-    arithmetic. Takes no NaN events.
+    Event ``x`` sums the ``k = 2b + 1`` components from ``lo = c - b``,
+    ``c = clip(rint(x), b, l_max - b)``, or every component from ``lo = 0``
+    where the rule bands nothing, row ``j`` holding component ``lo + j``.
+    Yields ``(lo, x - lo, lse, e, s)``. Takes no NaN events.
     """
+    b = estimation._band_half_width(n, sigma, l_max)
+    k = l_max + 1 if b is None else 2 * b + 1
     ls = np.arange(l_max + 1)
     log_w = ls * np.log(n) - n - special.gammaln(ls + 1.0)
-    cols = np.arange(2 * b + 1)
+    cols = np.arange(k)
     for start in range(0, events.size, 1 << 16):
         x = events[start : start + (1 << 16)]
-        lo = np.clip(np.rint(x), b, l_max - b).astype(np.int64) - b
-        d = (x - lo) - cols[:, None]
-        lse, r = _reference_softmax(log_w[lo + cols[:, None]], d, sigma)
-        yield lo, cols, d, lse, r
+        lo = np.clip(np.rint(x), k // 2, l_max - k + 1 + k // 2).astype(np.int64) - k // 2
+        shifted = x - lo
+        lse, e, s = _reference_softmax(log_w[lo + cols[:, None]], shifted - cols[:, None], sigma)
+        yield lo, shifted, lse, e, s
 
 
 def reference_em_pass(events, n, sigma, l_max):
@@ -301,19 +309,175 @@ def reference_em_pass(events, n, sigma, l_max):
 
 
 def banded_reference_em_pass(events, n, sigma, l_max):
-    """The pass the kernel must reproduce bit for bit: banded where the rule bands."""
-    b = estimation._band_half_width(n, sigma, l_max)
-    if b is None:
-        return reference_em_pass(events, n, sigma, l_max)
+    """The pass the kernel must reproduce bit for bit, from each event's band moments.
+
+    ``sum(r l)`` is the sum of ``lo + h + c1`` and ``sum(r d^2)`` that of
+    ``(d - c1)^2 + (c2 - c1^2)`` over the moments ``c_p`` of ``j - h`` about
+    row ``h = min(k // 2, round(n))`` (``d = x - lo - h``), each added pair
+    by pair of rows ``h +- delta`` in order of ``delta`` and multiplied by
+    ``1 / s``. Where ``sum(r l)`` falls below a quarter of ``sum(lo + h)``
+    or some ``c2`` exceeds ``_EXPANSION_LIMIT`` times the chunk's mean
+    squared residual, both are summed row by row instead: ``lo + sum_j j
+    e_j / s`` and ``sum_j e_j (x - lo - j)^2 / s``. An event with ``s = 0``
+    adds nothing to ``sum(r l)`` and ``(0 d) d`` to ``sum(r d^2)``.
+    """
     log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
     ll = sum_rl = sum_rsq = 0.0
-    for lo, cols, d, lse, r in _banded_reference_chunks(events, n, sigma, l_max, b):
+    for lo, shifted, lse, e, s in _band_reference_chunks(events, n, sigma, l_max):
+        k = e.shape[0]
+        h = min(k // 2, round(n))
         ll += float(np.sum(lse + log_norm))
-        # sum_j j sum_i r_ji + sum_i lo_i sum_j r_ji, with l = lo + j
-        sum_rl += float(np.sum(np.array([np.sum(row) for row in r]) * cols))
-        sum_rl += float(np.sum(lo * _sequential_sum(r)))
-        sum_rsq += float(np.sum(r * d * d))
+        dead = s == 0.0
+        inv_s = 1.0 / np.where(dead, 1.0, s)
+        pairs = [(e[h + delta] + e[h - delta], e[h + delta] - e[h - delta])
+                 if 0 <= h - delta and h + delta < k
+                 else (e[h + delta], e[h + delta]) if h + delta < k
+                 else (e[h - delta], -e[h - delta])
+                 for delta in range(1, max(h, k - 1 - h) + 1)]
+        c1 = _sequential_sum([diff * float(i) for i, (_, diff) in enumerate(pairs, start=1)])
+        c2 = _sequential_sum([total * float(i * i) for i, (total, _) in enumerate(pairs, start=1)])
+        c1, c2 = c1 * inv_s, c2 * inv_s
+        centres = int(np.sum(lo[~dead])) + h * int(np.sum(~dead))
+        chunk_rl = float(centres) + float(np.sum(c1))
+        d = shifted - h
+        with np.errstate(all="ignore"):
+            sq = np.where(dead, 0.0 * d, np.square(d - c1) + (c2 - c1 * c1))
+            chunk_rsq = float(np.sum(sq))
+            # where the expansion cancels, both sums row by row
+            if (chunk_rl < centres / 4.0
+                    or np.max(c2) > estimation._EXPANSION_LIMIT / d.size * chunk_rsq):
+                m1 = _sequential_sum(e[1:] * np.arange(1.0, k)[:, None])
+                chunk_rl = float(np.sum(lo[~dead])) + float(np.sum(m1 * inv_s))
+                rows = [e[j] * (shifted - j) * (shifted - j) for j in range(k)]
+                chunk_rsq = float(np.sum(_sequential_sum(rows) * inv_s))
+        sum_rl += chunk_rl
+        sum_rsq += chunk_rsq
     return ll, sum_rl, sum_rsq
+
+
+def _two_buffer_chunks(x, n, sigma, l_max):
+    """The E-step of the two-buffer kernel over one chunk, kept literally, fresh arrays.
+
+    Returns ``lo``, the residuals ``d``, the responsibilities ``r`` (both
+    ``(k, N)``), ``lse`` and ``s``.
+    """
+    half_width = estimation._band_half_width(n, sigma, l_max)
+    k = l_max + 1 if half_width is None else 2 * half_width + 1
+    log_w = estimation._log_poisson_weights(n, l_max)
+    half = k // 2
+    c = np.rint(x)
+    np.fmax(c, half, out=c)
+    np.fmin(c, log_w.size - k + half, out=c)
+    lo = c.astype(np.intp)
+    lo -= half
+    shifted = x - lo
+    d = np.empty((k, x.size))
+    a = np.empty((k, x.size))
+    for j in range(k):
+        np.take(log_w[j:], lo, out=d[j], mode="clip")
+    for j in range(k):
+        np.subtract(shifted, j, out=a[j])
+    with np.errstate(over="ignore"):
+        np.divide(a, sigma, out=a)
+        np.square(a, out=a)
+        np.multiply(a, 0.5, out=a)
+        np.subtract(d, a, out=a)
+    for j in range(k):
+        np.subtract(shifted, j, out=d[j])
+    m = a[0].copy()
+    for j in range(1, k):
+        np.maximum(m, a[j], out=m)
+    m[~np.isfinite(m)] = 0.0
+    np.subtract(a, m, out=a)
+    np.exp(a, out=a)
+    s = estimation._component_sum(a, np.empty(x.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lse = np.log(s)
+    np.add(m, lse, out=lse)
+    with np.errstate(invalid="ignore"):
+        np.divide(a, s, out=a)
+    a[:, s == 0.0] = 0.0
+    return lo, d, a, lse, s
+
+
+def _two_buffer_information_terms(lo, d, r, n, sigma):
+    """One chunk's sums for the information from the responsibilities, kept literally."""
+    k, size = r.shape
+    h = min(k // 2, round(n))
+    q1, q2, q3, q4, even, odd = np.empty((6, size))
+    for delta in range(1, max(h, k - 1 - h) + 1):
+        z = delta / sigma
+        z2 = z * z
+        if 0 <= h - delta and h + delta < k:
+            np.add(r[h + delta], r[h - delta], out=even)
+            np.subtract(r[h + delta], r[h - delta], out=odd)
+        elif h + delta < k:
+            np.copyto(even, r[h + delta])
+            np.copyto(odd, r[h + delta])
+        else:
+            np.copyto(even, r[h - delta])
+            np.negative(r[h - delta], out=odd)
+        if delta == 1:
+            np.multiply(odd, z, out=q1)
+            np.multiply(q1, z2, out=q3)
+            np.multiply(even, z2, out=q2)
+            np.multiply(q2, z2, out=q4)
+            continue
+        for q, term, power in ((q1, odd, z), (q3, odd, z2), (q2, even, z2), (q4, even, z2)):
+            np.multiply(term, power, out=term)
+            np.add(q, term, out=q)
+    with np.errstate(all="ignore"):
+        np.multiply(q1, q2, out=even)
+        np.subtract(q3, even, out=q3)
+        np.multiply(q1, q1, out=even)
+        np.subtract(q2, even, out=even)
+        np.multiply(even, sigma, out=odd)
+        np.subtract(q1, odd, out=odd)
+        np.multiply(odd, sigma, out=odd)
+        np.add(odd, lo, out=odd)
+        sum_nn = float(np.sum(odd)) + h * size
+        np.divide(d[h], sigma, out=odd)
+        np.multiply(even, odd, out=even)
+        np.subtract(q3, even, out=q3)
+        np.subtract(q3, even, out=even)
+        sum_cov = float(np.sum(even))
+        np.multiply(q3, odd, out=q3)
+        np.multiply(q3, 4.0, out=q3)
+        np.subtract(q3, q4, out=q3)
+        np.multiply(q1, -2.0, out=q1)
+        np.add(q1, odd, out=q1)
+        np.multiply(q1, odd, out=q1)
+        np.add(q1, q2, out=q1)
+        np.multiply(q1, 3.0, out=q1)
+        np.add(q1, q3, out=q1)
+        np.multiply(q2, q2, out=q2)
+        np.add(q1, q2, out=q1)
+        return sum_nn, sum_cov, float(np.sum(q1))
+
+
+def two_buffer_em_pass(events, n, sigma, l_max):
+    """``(ll, sum(r l), sum(r d^2), info)`` of the two-buffer kernel, kept literally.
+
+    It holds the responsibilities ``r = e / s`` in a second ``(k, N)``
+    buffer beside the residuals ``d``, takes ``sum(r l)`` and ``sum(r d^2)``
+    from sweeps over both, and the information from the moments of ``r`` in
+    units of sigma: an oracle for every value the one-buffer kernel gives.
+    """
+    log_norm = -np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+    ll = sum_rl = sum_rsq = 0.0
+    terms = [0.0, 0.0, 0.0]
+    for start in range(0, events.size, 1 << 16):
+        lo, d, r, lse, s = _two_buffer_chunks(events[start : start + (1 << 16)], n, sigma,
+                                              l_max)
+        ll += float(np.sum(lse + log_norm))
+        sum_rl += float(np.sum(np.sum(r, axis=1) * np.arange(r.shape[0])))
+        sum_rl += float(np.sum(estimation._component_sum(r, np.empty(s.size)) * lo))
+        for i, term in enumerate(_two_buffer_information_terms(lo, d, r, n, sigma)):
+            terms[i] += term
+        sum_rsq += float(np.sum((r * d) * d))
+    sum_nn, sum_cov, sum_ss = terms
+    info = (sum_nn / n / n, -sum_cov / n, (sum_ss - events.size) / sigma / sigma)
+    return ll, sum_rl, sum_rsq, info
 
 
 def reference_log_likelihood(events, n, sigma, l_max):
@@ -342,6 +506,7 @@ def assert_kernel_matches_reference(events, n, sigma, l_max):
         assert log_likelihood(events, n, sigma, l_max) == reference_log_likelihood(
             events, n, sigma, l_max
         )
+    assert_agrees_with_two_buffer_pass(events, n, sigma, l_max)
 
 
 def assert_band_matches_full_sum(events, n, sigma, l_max):
@@ -349,7 +514,7 @@ def assert_band_matches_full_sum(events, n, sigma, l_max):
     want = reference_em_pass(events, n, sigma, l_max)
     got = _em_pass(events, n, sigma, l_max)
     if estimation._band_half_width(n, sigma, l_max) is None:
-        assert got == want
+        assert got[0] == want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -367,8 +532,67 @@ def assert_band_matches_full_sum(events, n, sigma, l_max):
                                rtol=1e-12, atol=np.finfo(float).tiny)
 
 
+def two_buffer_magnitudes(events, n, sigma, l_max):
+    """What the moment pass adds up for ``sum(r d^2)`` and each information entry.
+
+    The pass expands each event's sums in moments of ``u = l - lo - h``
+    about row ``h = min(k // 2, round(n))`` and in its residual ``d = x - lo
+    - h`` at that row. Where the event's mass lies far from row ``h`` the
+    terms of the expansion are far larger than their sum, and so is its
+    rounding error. With ``b = |d| + |u|`` these bound the terms: ``sum E[b^2]``
+    for ``sum(r d^2)``; ``sum (lo + h + E[|u| + u^2]) / n^2``, ``sum E[b^3]
+    / (n sigma^3)`` and ``(3 sum E[b^2] / sigma^2 + sum E[b^4] / sigma^4 +
+    N) / sigma^2`` for the information, each expectation over the two-buffer
+    pass's responsibilities.
+    """
+    rsq = nn = ns = ss2 = ss4 = 0.0
+    for start in range(0, events.size, 1 << 16):
+        lo, d, r, _, _ = _two_buffer_chunks(events[start : start + (1 << 16)], n, sigma,
+                                            l_max)
+        k = r.shape[0]
+        h = min(k // 2, round(n))
+        u = np.abs(np.arange(k) - h)[:, None]
+        with np.errstate(all="ignore"):
+            b = np.abs(d[h]) + u
+            live = r > 0.0
+            rsq += float(np.sum(r * b**2, where=live))
+            nn += float(np.sum(lo + h)) + float(np.sum(r * (u + u * u), where=live))
+            ns += float(np.sum(r * b**3, where=live))
+            ss2 += float(np.sum(r * (b / sigma) ** 2, where=live))
+            ss4 += float(np.sum(r * (b / sigma) ** 4, where=live))
+    return rsq, (nn / n / n, ns / n / sigma**3, (3.0 * ss2 + ss4 + events.size) / sigma**2)
+
+
+def assert_agrees_with_two_buffer_pass(events, n, sigma, l_max):
+    """ll bit for bit; the EM statistics and the information close to the two-buffer pass.
+
+    Where ll is -inf the information is NaN. ``sum(r l)`` is a sum of terms >= 0 in both passes and agrees to 1e-13
+    relative. ``sum(r d^2)`` agrees to 1e-13 and each information entry to
+    1e-12 of what the moment pass adds up for it (``two_buffer_magnitudes``),
+    which for events near their band's middle row is about the value itself;
+    the two-buffer pass's moments in units of sigma are themselves up to
+    7e-13 off a long double reference in ``i_ns`` and ``i_ss``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, as the two-buffer pass
+        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, information=True)
+        want = two_buffer_em_pass(events, n, sigma, l_max)
+        rsq_scale, info_scale = two_buffer_magnitudes(events, n, sigma, l_max)
+    assert ll == want[0] or (np.isnan(ll) and np.isnan(want[0]))
+    np.testing.assert_allclose(sum_rl, want[1], rtol=1e-13, atol=0, equal_nan=True)
+    checks = [(sum_rsq, want[2], 1e-13 * rsq_scale)]
+    if ll == -np.inf:  # some event has no density: the point has no information
+        assert np.isnan(info).all()
+    else:
+        checks += zip(info, want[3], np.multiply(1e-12, info_scale))
+    for got, value, bound in checks:
+        with np.errstate(invalid="ignore"):
+            assert (got == value or (np.isnan(got) and np.isnan(value))
+                    or abs(got - value) <= bound), (sum_rsq, info, want)
+
+
 class TestExactKernel:
-    """The workspace E-step against the single-exp references."""
+    """The workspace E-step against the single-exp references and the two-buffer pass."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -404,6 +628,23 @@ class TestExactKernel:
         assert_kernel_matches_reference(events, n, sigma, l_max)
         assert_band_matches_full_sum(events, n, sigma, l_max)
 
+    # the model's own events: no chunk takes the row sums, and the moment
+    # sums and the row sums differ in the last bits here
+    @pytest.mark.parametrize("n, sigma, l_max", [(2.55, 0.33, 20), (10.18, 0.33, 30)])
+    def test_events_of_the_model(self, n, sigma, l_max):
+        events = draw_mixture_events(n, sigma, 5000, seed=17)
+        assert_kernel_matches_reference(events, n, sigma, l_max)
+        assert_band_matches_full_sum(events, n, sigma, l_max)
+
+    # at 1e150 every log-term of an event rounds to the same value, so the
+    # band and the full sum weigh its components alike but over other rows
+    @pytest.mark.parametrize("n, sigma, l_max", [(2.55, 0.33, 20), (1e-9, 0.26, 20),
+                                                 (2.85, 2.0, 21), (10.18, 0.6, 40)])
+    def test_outliers_agree_with_the_two_buffer_pass(self, n, sigma, l_max):
+        events = draw_mixture_events(min(n, 10.0), sigma, 3000, seed=28)
+        events[:5] = (-50.0, 1e3, 1e150, -1e150, 1e200)
+        assert_agrees_with_two_buffer_pass(events, n, sigma, l_max)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_events_match_the_full_sum(self, bad):
         events = draw_mixture_events(2.55, 0.33, 100, seed=18)
@@ -417,6 +658,7 @@ class TestExactKernel:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
         np.testing.assert_allclose(density, reference_density(events, 2.55, 0.33, 20),
                                    rtol=1e-12, atol=0, equal_nan=True)
+        assert_agrees_with_two_buffer_pass(events, 2.55, 0.33, 20)
 
     def test_subnormal_and_zero_cells(self):
         # with n = 1, sigma = 1 and l_max = 1 the l = 1 cell of event x sits
@@ -462,6 +704,19 @@ class TestFitMixture:
         with pytest.raises(InsufficientDataError):
             fit_mixture(np.zeros(49))
 
+    def test_degenerate_fit_names_its_reason(self):
+        # events far below zero converge to an n_hat near its floor where the
+        # information is not positive definite; all-zero events put n_hat at
+        # the floor itself; converged keeps its meaning
+        fit = fit_mixture(np.random.default_rng(1).normal(-50.0, 50.0, 500))
+        assert fit.converged and np.isnan(fit.stderr_n)
+        assert fit.degenerate == "the observed information is not positive definite"
+        fit = fit_mixture(np.zeros(100))
+        assert fit.converged and fit.n_hat == estimation._N_FLOOR
+        assert fit.degenerate.startswith(f"n_hat is at its floor {estimation._N_FLOOR}")
+        fit = fit_mixture(draw_mixture_events(1.07, 0.3, 700, seed=7))
+        assert fit.degenerate is None and np.isfinite(fit.stderr_n)
+
     def test_bright_data_needs_larger_cutoff(self):
         events = draw_mixture_events(10.18, 0.33, 200, seed=8)
         with pytest.raises(ValueError, match="l_max"):
@@ -500,6 +755,7 @@ class TestFitMixture:
         assert not fit.converged
         assert fit.n_iterations <= 3
         assert np.isnan(fit.stderr_n)
+        assert fit.degenerate is not None
 
     def test_gradient_at_a_huge_sigma(self):
         events = draw_mixture_events(1.0, 0.3, 500, seed=26)
@@ -717,11 +973,11 @@ class TestWorkspaceBound:
         monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
 
     def largest_l_max(self):
-        # two buffers of N x (l_max + 1), the weight arrays, the chunk vectors
-        # and numpy's iterator buffer, in doubles
+        # the buffer of N x (l_max + 1), the weight arrays, the chunk vectors
+        # and two of numpy's iterator buffers, in doubles
         def doubles(l_max):
-            return ((2 * self.N_EVENTS + estimation._WEIGHT_ARRAYS) * (l_max + 1)
-                    + estimation._CHUNK_VECTORS * self.N_EVENTS + np.getbufsize())
+            return ((self.N_EVENTS + estimation._WEIGHT_ARRAYS) * (l_max + 1)
+                    + estimation._CHUNK_VECTORS * self.N_EVENTS + 2 * np.getbufsize())
 
         fixed = doubles(-1)
         l_max = (self.LIMIT // 8 - fixed - 1) // (doubles(0) - fixed) - 1
@@ -745,9 +1001,9 @@ class TestWorkspaceBound:
         *(pytest.param(entry, 5.0, id=f"{entry}-full-band") for entry in sorted(POINT_ENTRY_POINTS)),
     ])
     def test_peak_stays_below_the_limit(self, entry, sigma):
-        # at the largest cutoff the entry point accepts, both buffers and
-        # every array beside them count; at sigma 5 the band is every
-        # component, with its band start and shifted events beside them
+        # at the largest cutoff the entry point accepts, the buffer and every
+        # array beside it count; at sigma 5 the band is every component, with
+        # its band start and shifted events beside it
         events = draw_mixture_events(1.0, 0.3, self.N_EVENTS, seed=13)
         if sigma is None:
             call = KERNEL_ENTRY_POINTS[entry]
@@ -766,6 +1022,14 @@ class TestWorkspaceBound:
             tracemalloc.stop()
         assert np.all(np.isfinite(result))
         assert peak < self.LIMIT
+
+    def test_a_full_chunk_takes_l_max_500(self):
+        # one buffer of 65536 x 501 doubles and the vectors beside it stay
+        # below 256 MiB; the pass touches only the band's rows of it
+        events = draw_mixture_events(1.0, 0.3, estimation._EVENT_CHUNK, seed=29)
+        assert np.isfinite(log_likelihood(events, 1.0, 0.3, 500))
+        with pytest.raises(ValueError, match="l_max 501 needs"):
+            log_likelihood(events, 1.0, 0.3, 501)
 
     @pytest.mark.parametrize("l_max", [0, -3, 10**12])
     @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))

@@ -1,5 +1,6 @@
 """The maintenance scripts under ``scripts/`` still run and agree with the package."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -68,3 +69,15 @@ def test_solve_noise_defaults_refuses_a_pink_fraction_outside_0_1(fraction):
     res = run_solver("--pink-fraction", fraction)
     assert res.returncode != 0
     assert "Traceback" not in res.stderr and "--pink-fraction" in res.stderr
+
+
+def test_every_mutant_finds_its_text_once():
+    # the mutation job itself runs outside this suite; a refactor that moves
+    # mutated code fails here first
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    src = SCRIPTS.parent / "src"
+    for m in mutants.MUTANTS:
+        assert (src / m.file).read_text().count(m.old) == 1, m.name
+        assert m.tests and m.old != m.new, m.name
