@@ -65,8 +65,8 @@ MUTANTS = (
            "np.square(sq, out=sq)",
            (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[2.55-0.33-20]",)),
     Mutant("the lo term dropped from sum(r l)", EST,
-           "    sum_rl = float(centres) + float(np.sum(c1))\n",
-           "    sum_rl = float(h * live) + float(np.sum(c1))\n",
+           "    sum_rl = float(centres) + float(c1.sum())\n",
+           "    sum_rl = float(h * live) + float(c1.sum())\n",
            (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[10.18-0.33-30]",)),
     Mutant("a pair's sum takes its upper row twice", EST,
            "np.add(e[up], e[down], out=pair_sum)",
@@ -77,12 +77,12 @@ MUTANTS = (
            "np.subtract(e[down], e[up], out=pair_diff)",
            (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[2.55-0.33-20]",)),
     Mutant("the row sums never taken", EST,
-           "        if sum_rl < centres / 4.0 or np.max(c2) > _EXPANSION_LIMIT / size * sum_rsq:\n",
-           "        if False:\n",
+           "    if sum_rl < centres / 4.0 or c2.max() > _EXPANSION_LIMIT / size * sum_rsq:\n",
+           "    if False:\n",
            (f"{KERNEL}::test_subnormal_and_zero_cells",)),
     Mutant("the row sums always taken", EST,
-           "        if sum_rl < centres / 4.0 or np.max(c2) > _EXPANSION_LIMIT / size * sum_rsq:\n",
-           "        if True:\n",
+           "    if sum_rl < centres / 4.0 or c2.max() > _EXPANSION_LIMIT / size * sum_rsq:\n",
+           "    if True:\n",
            (f"{KERNEL}::test_events_of_the_model[2.55-0.33-20]",)),
     Mutant("the information at a point of -inf not NaN", EST,
            "    if ll == -math.inf:  # an event with no density here: no information either\n",
@@ -99,8 +99,16 @@ MUTANTS = (
            "    g = 0.0\n",
            (f"{KERNEL}::test_steep_weights[0.6]",)),
     Mutant("a row maximum that skips the last component", EST,
-           "    for j in range(1, k):\n        np.maximum(m, a[j], out=m)\n",
-           "    for j in range(1, k - 1):\n        np.maximum(m, a[j], out=m)\n",
+           "    np.maximum.reduce(a, axis=0, out=m)\n",
+           "    np.maximum.reduce(a[:-1], axis=0, out=m)\n",
+           (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[2.55-0.33-20]",)),
+    Mutant("the component sum as one add.reduce", EST,
+           "    np.copyto(out, rows[0])\n    for row in rows[1:]:\n        np.add(out, row, out=out)\n",
+           "    np.add.reduce(rows, axis=0, out=out)\n",
+           (f"{KERNEL}::test_softmax_sums_the_rows_in_order",)),
+    Mutant("a stale log-factorial cache", EST,
+           "        self.log_fact = _log_factorials(l_max)\n",
+           "        self.log_fact = special.gammaln(self.rows + 2.0)\n",
            (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[2.55-0.33-20]",)),
     # the memory bound and the default cutoff
     Mutant("no byte bound", EST,
@@ -157,6 +165,10 @@ MUTANTS = (
            "            charge = 0 if reset[-1] else int(accumulated[-1])\n",
            "            charge = int(accumulated[-1])\n",
            ("tests/test_readout.py::TestSimulateChunks::test_chunks_join_to_the_whole_run",)),
+    Mutant("a Philox re-key that drops start // 4", READOUT,
+           "    block = start // 4\n",
+           "    block = 0\n",
+           ("tests/test_readout.py::test_frame_uniforms_equal_a_fresh_philox_keystream",)),
     Mutant("first_frame 0 for every chunk", READOUT,
            "                first_frame=start,\n",
            "                first_frame=0,\n",

@@ -8,8 +8,11 @@ fit        fit the photon-number mixture to an events file
 snr        one-line JSON with the conversion gain, noise and S/N
 sweep      grid-sweep one or two config keys, tabulating noise and error
 
-Exit codes: 0 success, 1 invalid input, 2 non-convergence or a degenerate
-fit, 3 I/O failure. Errors print a single-line JSON object
+Exit codes: 0 success, 1 invalid input, 2 a fit that did not converge or
+whose ``stderr_n`` is not finite, 3 I/O failure. A converged fit flagged
+degenerate with a finite ``stderr_n`` (a dark source whose ``n_hat`` sits
+at its floor) exits 0, and fit.json's ``"degenerate"`` names the reason.
+Errors print a single-line JSON object
 ``{"code", "message"}`` to stderr. All outputs are byte-reproducible for a
 fixed seed, whatever the BLAS thread count; the only timestamp lives in
 summary.json and is suppressed by ``--no-timestamp``.

@@ -41,8 +41,9 @@ pass allocates no float array of the chunk's size. The buffer is
 component-major: a ``(k, chunk)`` array whose row ``j`` holds component
 ``lo + j`` of every event. Each step of the pass is then one whole-block
 operation or one operation per component row, each a long contiguous vector
-over the events; the maximum, the sum and the moments over the components
-add one row, or one pair of rows, at a time, in a fixed order.
+over the events; the sum and the moments over the components add one row,
+or one pair of rows, at a time, in a fixed order, and the maximum, exact in
+any order, is one reduction over the rows.
 
 Each event is evaluated only at the band of ``2B + 1`` components around its
 nearest integer that can reach its log-sum-exp (``_band_half_width``). ``B``
@@ -235,11 +236,18 @@ def _cutoff(mean: float, l_max: int | None = None) -> int:
     return l_max
 
 
-def _log_poisson_weights(n: float, l_max: int) -> np.ndarray:
-    """``l ln n - n - ln l!`` for ``l = 0 .. l_max``, in place; ``-n`` at 0 with no ``0 ln n``."""
-    log_w = np.arange(l_max + 1.0)
-    log_fact = log_w + 1.0
-    special.gammaln(log_fact, out=log_fact)
+def _log_factorials(l_max: int) -> np.ndarray:
+    """``ln l!`` for ``l = 0 .. l_max``."""
+    log_fact = np.arange(1.0, l_max + 2.0)
+    return special.gammaln(log_fact, out=log_fact)
+
+
+def _log_poisson_weights(n: float, log_fact: np.ndarray) -> np.ndarray:
+    """``l ln n - n - ln l!`` for ``l = 0 .. l_max``; ``-n`` at 0, with no ``0 ln n``.
+
+    ``log_fact`` holds the ``ln l!`` (:func:`_log_factorials`).
+    """
+    log_w = np.arange(float(log_fact.size))
     np.multiply(log_w[1:], np.log(n) if n != 0 else -np.inf, out=log_w[1:])
     np.subtract(log_w, n, out=log_w)
     return np.subtract(log_w, log_fact, out=log_w)
@@ -256,7 +264,8 @@ class _Workspace:
     component-major: a pass over ``k`` components of a chunk of ``c`` events
     views its first ``k * c`` cells as a C-contiguous ``(k, c)`` array whose
     row ``j`` holds component ``lo + j`` of every event. ``rows`` holds the
-    offsets ``0 .. l_max`` as floats.
+    offsets ``0 .. l_max`` as floats and ``log_fact`` their ``ln l!``, which
+    every pass's Poisson log-weights share.
     """
 
     def __init__(self, n_events: int, l_max: int):
@@ -270,6 +279,7 @@ class _Workspace:
         # buffer from going back to the system
         self.vectors = np.empty(_PASS_VECTORS * chunk)  # event vectors, then the moments
         self.rows = np.arange(l_max + 1.0)
+        self.log_fact = _log_factorials(l_max)
         self.a = np.empty(cells)  # log-terms -> exponentials -> moment terms
 
 
@@ -337,7 +347,9 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
     the shifted events are its rows 0 to 2, valid until the next row
     operation on them. Events whose log-terms are all -inf get lse = -inf and
     s = 0. Every step is a whole-block operation or one per row, each over
-    the contiguous event axis.
+    the contiguous event axis. The caller runs it with numpy's floating-point
+    errors ignored: an event far outside its band overflows its log-terms,
+    and one with s = 0 takes the log of 0.
     """
     half = k // 2
     vectors = ws.vectors[: _PASS_VECTORS * x.size].reshape(_PASS_VECTORS, x.size)
@@ -351,24 +363,21 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
     np.subtract(x, lo, out=shifted)
     a = ws.a[: k * x.size].reshape(k, x.size)
     np.subtract(shifted, ws.rows[:k, None], out=a)
-    with np.errstate(over="ignore"):
-        np.divide(a, sigma, out=a)
-        np.square(a, out=a)
-        np.multiply(a, 0.5, out=a)
-        # lo + j <= l_max always; "clip" lets np.take write straight into out
-        for j in range(k):
-            np.take(log_w[j:], lo, out=m, mode="clip")
-            np.subtract(m, a[j], out=a[j])
-    np.copyto(m, a[0])
-    for j in range(1, k):
-        np.maximum(m, a[j], out=m)
+    np.divide(a, sigma, out=a)
+    np.square(a, out=a)
+    np.multiply(a, 0.5, out=a)
+    # lo + j <= l_max always; "clip" lets take write straight into out
+    for j in range(k):
+        log_w[j:].take(lo, out=m, mode="clip")
+        np.subtract(m, a[j], out=a[j])
+    # a maximum is exact in any order, unlike the sums, which go row by row
+    np.maximum.reduce(a, axis=0, out=m)
     if not np.isfinite(m).all():
         m[~np.isfinite(m)] = 0.0
     np.subtract(a, m, out=a)
     np.exp(a, out=a)
     _component_sum(a, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(s, out=lse)
+    np.log(s, out=lse)
     np.add(m, lse, out=lse)
     return lo, shifted, a, lse, s, vectors
 
@@ -376,7 +385,8 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
 def _passes(events, n, sigma, l_max, ws=None):
     """The iterator of :func:`_chunk_softmax` over the chunks of one pass at ``(n, sigma)``.
 
-    Checks ``n`` and ``sigma`` and sets the pass up when called, not at the first chunk.
+    Checks ``n`` and ``sigma`` and sets the pass up when called, not at the
+    first chunk. The caller iterates it under ``np.errstate(all="ignore")``.
     """
     for name, value in (("n", n), ("sigma", sigma)):
         if not 0.0 < value < math.inf:
@@ -386,7 +396,7 @@ def _passes(events, n, sigma, l_max, ws=None):
         ws = _Workspace(events.size, l_max)
     half_width = _band_half_width(n, sigma, l_max)
     k = l_max + 1 if half_width is None else 2 * half_width + 1
-    log_w = _log_poisson_weights(n, l_max)
+    log_w = _log_poisson_weights(n, ws.log_fact[: l_max + 1])
     return (_chunk_softmax(events[start : start + _EVENT_CHUNK], log_w, sigma, ws, k)
             for start in range(0, events.size, _EVENT_CHUNK))
 
@@ -402,8 +412,9 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     chunks = _passes(x_arr, n, sigma, l_max)
     lse = np.empty(x_arr.size)
-    for i, (_, _, _, chunk_lse, _, _) in enumerate(chunks):
-        lse[i * _EVENT_CHUNK : (i + 1) * _EVENT_CHUNK] = chunk_lse
+    with np.errstate(all="ignore"):
+        for i, (_, _, _, chunk_lse, _, _) in enumerate(chunks):
+            lse[i * _EVENT_CHUNK : (i + 1) * _EVENT_CHUNK] = chunk_lse
     lse -= np.log(sigma)
     lse -= _LOG_SQRT_2PI
     out = np.exp(lse, out=lse)
@@ -413,14 +424,21 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
 def log_likelihood(events, n: float, sigma: float, l_max: int | None = None) -> float:
     """Total log-likelihood of the events under the mixture.
 
-    Uses log-sum-exp per event. If any event's density underflows to zero
-    the function warns and returns ``-inf``. Raises ``ValueError`` for an
-    ``n`` or ``sigma`` that is not finite and above 0.
+    Uses log-sum-exp per event: the pass's ``lse`` alone, the bits of
+    :func:`_em_pass`'s log-likelihood without its moments. If any event's
+    density underflows to zero the function warns and returns ``-inf``.
+    Raises ``ValueError`` for an ``n`` or ``sigma`` that is not finite and
+    above 0.
     """
     events = np.asarray(events, dtype=float)
     if events.size == 0:
         raise InsufficientDataError("log_likelihood needs at least one event")
-    ll, _, _ = _em_pass(events, n, sigma, l_max)
+    chunks = _passes(events, n, sigma, l_max)
+    log_norm = -np.log(sigma) - _LOG_SQRT_2PI
+    ll = 0.0
+    with np.errstate(all="ignore"):
+        for _, _, _, lse, _, _ in chunks:
+            ll += float(np.add(lse, log_norm, out=lse).sum())
     if ll == float("-inf"):
         warnings.warn("mixture density underflowed to zero for some events", RuntimeWarning,
                       stacklevel=2)
@@ -463,10 +481,13 @@ def _em_pass(events, n, sigma, l_max, ws=None, information=False):
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
     ll = 0.0
     sums = [0.0] * 5
-    for lo, shifted, e, lse, s, vectors in chunks:
-        ll += float(np.sum(np.add(lse, log_norm, out=lse)))
-        for i, term in enumerate(_moment_sums(lo, shifted, e, s, vectors, n, information)):
-            sums[i] += term
+    # only an event far outside its band overflows, and one with no density
+    # takes the log of 0
+    with np.errstate(all="ignore"):
+        for lo, shifted, e, lse, s, vectors in chunks:
+            ll += float(np.add(lse, log_norm, out=lse).sum())
+            for i, term in enumerate(_moment_sums(lo, shifted, e, s, vectors, n, information)):
+                sums[i] += term
     sum_rl, sum_rsq, sum_nn, sum_cov, sum_var = sums
     if not information:
         return ll, sum_rl, sum_rsq
@@ -506,7 +527,8 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
     statistics row by row instead, from terms that are all >= 0: ``lo +
     sum_j j e_j / s`` and ``sum_j e_j (x - lo - j)^2 / s``. That keeps both
     to about 1e-13 relative, also where the mass sits at a clipped band's
-    edge or far below the Poisson mean.
+    edge or far below the Poisson mean. Runs under the pass's ``np.errstate``,
+    like :func:`_chunk_softmax`: only an event far outside its band overflows.
 
     With ``information`` three more sums follow, for Louis's identity
     (Louis 1982): of ``E[l] - Var(l)``, ``Cov(l, (x - l)^2)`` and ``Var((x
@@ -545,54 +567,53 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
         if information:
             np.add(c3, np.multiply(odd, delta2, out=odd), out=c3)
             np.add(c4, np.multiply(even, delta2, out=even), out=c4)
-    lo_sum = int(np.sum(lo))
+    lo_sum = int(lo.sum())
     live = size
     if not s.all():
         dead = s == 0.0
         s[dead] = 1.0  # every e of such an event is 0, and so is every moment
         live -= int(np.count_nonzero(dead))
-        lo_sum -= int(np.sum(lo[dead]))
+        lo_sum -= int(lo[dead].sum())
     inv_s = np.divide(1.0, s, out=s)
     for moment in (c1, c2, c3, c4) if information else (c1, c2):
         np.multiply(moment, inv_s, out=moment)
     centres = lo_sum + h * live  # sum(lo + h) over the events with s > 0
-    sum_rl = float(centres) + float(np.sum(c1))
+    sum_rl = float(centres) + float(c1.sum())
     var, sq = even, odd
-    with np.errstate(all="ignore"):  # only an event far outside its band overflows
-        # sq <- E[(x - l)^2] = (d - c1)^2 + Var(l), with d = x - lo - h
+    # sq <- E[(x - l)^2] = (d - c1)^2 + Var(l), with d = x - lo - h
+    np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
+    np.subtract(np.subtract(shifted, h, out=sq), c1, out=sq)
+    np.add(np.square(sq, out=sq), var, out=sq)
+    if live < size:
+        sq[dead] = 0.0 * shifted[dead]
+    sum_rsq = float(sq.sum())
+    if sum_rl < centres / 4.0 or c2.max() > _EXPANSION_LIMIT / size * sum_rsq:
+        # both sums row by row: sum_j j e_j, and (e_j (x - lo - j)) (x - lo - j),
+        # which is 0, not NaN, for an event with s = 0 and a finite x
+        np.copyto(var, e[1])
+        for j in range(2, k):
+            np.add(var, np.multiply(e[j], j, out=sq), out=var)
+        sum_rl = float(lo_sum) + float(np.multiply(var, inv_s, out=var).sum())
+        np.multiply(np.multiply(e[0], shifted, out=var), shifted, out=var)
+        for j in range(1, k):
+            np.subtract(shifted, j, out=sq)
+            np.add(var, np.multiply(np.multiply(e[j], sq, out=e[j]), sq, out=e[j]), out=var)
+        sum_rsq = float(np.multiply(var, inv_s, out=var).sum())
         np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
-        np.subtract(np.subtract(shifted, h, out=sq), c1, out=sq)
-        np.add(np.square(sq, out=sq), var, out=sq)
-        if live < size:
-            sq[dead] = 0.0 * shifted[dead]
-        sum_rsq = float(np.sum(sq))
-        if sum_rl < centres / 4.0 or np.max(c2) > _EXPANSION_LIMIT / size * sum_rsq:
-            # both sums row by row: sum_j j e_j, and (e_j (x - lo - j)) (x - lo - j),
-            # which is 0, not NaN, for an event with s = 0 and a finite x
-            np.copyto(var, e[1])
-            for j in range(2, k):
-                np.add(var, np.multiply(e[j], j, out=sq), out=var)
-            sum_rl = float(lo_sum) + float(np.sum(np.multiply(var, inv_s, out=var)))
-            np.multiply(np.multiply(e[0], shifted, out=var), shifted, out=var)
-            for j in range(1, k):
-                np.subtract(shifted, j, out=sq)
-                np.add(var, np.multiply(np.multiply(e[j], sq, out=e[j]), sq, out=e[j]), out=var)
-            sum_rsq = float(np.sum(np.multiply(var, inv_s, out=var)))
-            np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
-        if not information:
-            return sum_rl, sum_rsq
-        d, tmp = np.subtract(shifted, h, out=shifted), sq
-        sum_nn = float(np.sum(np.subtract(c1, var, out=tmp))) + centres
-        # c3 <- A - d v, tmp <- A - 2 d v, with A = c3 - c1 c2 = Cov(u, u^2)
-        np.subtract(c3, np.multiply(c1, c2, out=tmp), out=c3)
-        np.subtract(c3, np.multiply(d, var, out=tmp), out=c3)
-        sum_cov = float(np.sum(np.subtract(c3, tmp, out=tmp)))
-        # c4 <- c4 - 4 d (A - d v) - c2^2
-        np.multiply(c3, d, out=c3)
-        np.multiply(c3, 4.0, out=c3)
-        np.subtract(c4, c3, out=c4)
-        np.subtract(c4, np.multiply(c2, c2, out=c2), out=c4)
-        return sum_rl, sum_rsq, sum_nn, sum_cov, float(np.sum(c4))
+    if not information:
+        return sum_rl, sum_rsq
+    d, tmp = np.subtract(shifted, h, out=shifted), sq
+    sum_nn = float(np.subtract(c1, var, out=tmp).sum()) + centres
+    # c3 <- A - d v, tmp <- A - 2 d v, with A = c3 - c1 c2 = Cov(u, u^2)
+    np.subtract(c3, np.multiply(c1, c2, out=tmp), out=c3)
+    np.subtract(c3, np.multiply(d, var, out=tmp), out=c3)
+    sum_cov = float(np.subtract(c3, tmp, out=tmp).sum())
+    # c4 <- c4 - 4 d (A - d v) - c2^2
+    np.multiply(c3, d, out=c3)
+    np.multiply(c3, 4.0, out=c3)
+    np.subtract(c4, c3, out=c4)
+    np.subtract(c4, np.multiply(c2, c2, out=c2), out=c4)
+    return sum_rl, sum_rsq, sum_nn, sum_cov, float(c4.sum())
 
 
 def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
@@ -670,6 +691,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         )
     passes = 0
 
+    # points, images and steps are (n, sigma) pairs of floats
     def em_map(theta):
         """One E-step at ``theta``: ll, EM image and ``(proposal, decrement, information)``.
 
@@ -679,10 +701,10 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         """
         nonlocal passes
         passes += 1
-        n, sigma = float(theta[0]), float(theta[1])
+        n, sigma = theta
         ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, ws, information=True)
-        image = np.array([max(sum_rl / events.size, _N_FLOOR),
-                          max(np.sqrt(sum_rsq / events.size), SIGMA_FLOOR)])
+        image = (max(sum_rl / events.size, _N_FLOOR),
+                 max(float(np.sqrt(sum_rsq / events.size)), SIGMA_FLOOR))
         g_n, g_s = _gradient(events.size, n, sigma, sum_rl, sum_rsq)
         step, decrement = _newton(g_n, g_s, info)
         if step is None:
@@ -690,7 +712,9 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         # far from the optimum the EM step can reach further than the local
         # quadratic model, whose gain to first order is g^T I^-1 g
         em_gain = g_n * (image[0] - n) + g_s * (image[1] - sigma)
-        return ll, image, (image if em_gain > 2.0 * decrement else theta + step, decrement, info)
+        if em_gain > 2.0 * decrement:
+            return ll, image, (image, decrement, info)
+        return ll, image, ((n + step[0], sigma + step[1]), decrement, info)
 
     def check_increase(ll_from, ll_to):
         if ll_to < ll_from - 1e-8 * (1.0 + abs(ll_from)):
@@ -700,16 +724,16 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
             )
 
     def in_bounds(theta):
-        return _N_FLOOR <= theta[0] < np.inf and SIGMA_FLOOR <= theta[1] < np.inf
+        return _N_FLOOR <= theta[0] < math.inf and SIGMA_FLOOR <= theta[1] < math.inf
 
     # theta is the last accepted point, ll its log-likelihood, image its EM
     # image and newton its (proposal, decrement, information)
-    theta = np.array([max(sample_mean, 0.05), 0.3])
+    theta = (max(sample_mean, 0.05), 0.3)
     ll, image, newton = em_map(theta)
     converged = False
     while passes < _EM_ITERATIONS:
         proposal, decrement, _ = newton
-        if proposal is not None and ll > -np.inf:
+        if proposal is not None and ll > -math.inf:
             if decrement < _EM_TOL:
                 converged = True
                 break
@@ -726,18 +750,23 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         # a SQUAREM cycle from theta
         ll_image, image2, newton_image = em_map(image)
         check_increase(ll, ll_image)
-        if abs(ll_image - ll) < _EM_TOL or not ll_image > -np.inf:
+        if abs(ll_image - ll) < _EM_TOL or not ll_image > -math.inf:
             # converged, or a point of -inf whose EM image gained nothing finite
-            converged = ll_image > -np.inf
+            converged = ll_image > -math.inf
             theta, ll, newton = image, ll_image, newton_image
             break
-        r = image - theta
-        v = image2 - image - r
+        r = (image[0] - theta[0], image[1] - theta[1])
+        v = (image2[0] - image[0] - r[0], image2[1] - image[1] - r[1])
         norm_v = math.hypot(*v)
         alpha = min(-math.hypot(*r) / norm_v, -1.0) if norm_v > 0 else -1.0
         while passes < _EM_ITERATIONS:
             em_step = alpha > _SQUAREM_EM_ALPHA
-            proposal = image2 if em_step else theta - 2.0 * alpha * r + alpha**2 * v
+            if em_step:
+                proposal = image2
+            else:
+                two_alpha, alpha2 = 2.0 * alpha, alpha**2
+                proposal = (theta[0] - two_alpha * r[0] + alpha2 * v[0],
+                            theta[1] - two_alpha * r[1] + alpha2 * v[1])
             if em_step or in_bounds(proposal):
                 ll_new, image_new, newton_new = em_map(proposal)
                 if em_step:
@@ -750,10 +779,10 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         if converged:
             break
 
-    stderr_n, degenerate = _standard_error(float(theta[0]), newton[2])
+    stderr_n, degenerate = _standard_error(theta[0], newton[2])
     return MixtureFit(
-        n_hat=float(theta[0]),
-        sigma_hat=float(theta[1]),
+        n_hat=theta[0],
+        sigma_hat=theta[1],
         l_max=l_max,
         log_likelihood=ll,
         n_iterations=passes,
@@ -780,7 +809,7 @@ def _newton(g_n, g_s, info):
     decrement = 0.5 * (g_n * step_n + g_s * step_s)
     if not (i_nn > 0.0 and det > 0.0 and math.isfinite(decrement)):
         return None, decrement
-    return np.array([step_n, step_s]), decrement
+    return (step_n, step_s), decrement
 
 
 def _standard_error(n_hat, info):
@@ -877,7 +906,7 @@ def discrimination_error(
         np.add(special.ndtr(per_comp, out=per_comp), special.ndtr(upper, out=upper),
                out=per_comp)
         del bounds, upper  # the weights below take their place
-    weights = _log_poisson_weights(n, l_max)
+    weights = _log_poisson_weights(n, _log_factorials(l_max))
     np.exp(weights, out=weights)
     return float(np.sum(np.multiply(weights, per_comp, out=per_comp)))
 
@@ -915,7 +944,7 @@ def expected_bin_counts(
     """
     l_max = _cutoff(n, l_max)
     edges = hist.bin_edges
-    weights = np.exp(_log_poisson_weights(n, l_max))
+    weights = np.exp(_log_poisson_weights(n, _log_factorials(l_max)))
     cdf_at_edges = np.zeros(edges.size)
     term = np.empty(edges.size)
     for l in np.flatnonzero(weights):

@@ -109,9 +109,27 @@ def frame_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray
     uniforms. Philox advances its 256-bit counter once per 4 output words,
     so any range can be generated without producing the prefix.
     """
-    bg = np.random.Philox(key=[np.uint64(seed), np.uint64(stream)])
-    if start // 4:
-        bg.advance(start // 4)
+    return _keyed_uniforms(np.random.Philox(0), seed, stream, start, count)
+
+
+def _keyed_uniforms(bg, seed, stream, start, count):
+    """:func:`frame_uniforms` drawn from the Philox bit generator ``bg``, re-keyed in place.
+
+    Setting the state keys ``bg`` by ``(seed, stream)`` and sets its 256-bit
+    counter to ``start // 4`` with an empty buffer: the state of
+    ``Philox(key=[seed, stream])`` advanced by ``start // 4``, whose next
+    block is the one that holds word ``start``. Re-keying costs a fraction
+    of constructing a generator, so a run re-keys one for every stream of
+    every chunk.
+    """
+    block = start // 4
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(block >> shift) & 0xFFFF_FFFF_FFFF_FFFF
+                              for shift in (0, 64, 128, 192)],
+                  "key": [np.uint64(seed), np.uint64(stream)]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     skip = start % 4
     raw = bg.random_raw(skip + count)
     return (raw[skip:] >> np.uint64(11)) * 2.0**-53
@@ -242,12 +260,13 @@ def simulate_chunks(cfg: RunConfig, chunk_frames: int = _CHUNK_FRAMES) -> Iterat
 
     def chunks():
         charge = 0  # on the gate after the previous chunk
+        bg = np.random.Philox(0)  # re-keyed for every stream of every chunk
         for start in range(0, cfg.n_frames, chunk_frames):
             count = min(chunk_frames, cfg.n_frames - start)
-            true_c = signal(frame_uniforms(cfg.seed, STREAM_SIGNAL, start, count))
-            leak_c = leakage(frame_uniforms(cfg.seed, STREAM_LEAKAGE, start, count))
+            true_c = signal(_keyed_uniforms(bg, cfg.seed, STREAM_SIGNAL, start, count))
+            leak_c = leakage(_keyed_uniforms(bg, cfg.seed, STREAM_LEAKAGE, start, count))
             noise_e = _gaussian_from_uniforms(
-                sigma_e, frame_uniforms(cfg.seed, STREAM_NOISE, start, count)
+                sigma_e, _keyed_uniforms(bg, cfg.seed, STREAM_NOISE, start, count)
             )
             added = (true_c + leak_c).astype(np.int64)
             measured = added + noise_e

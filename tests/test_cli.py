@@ -344,6 +344,18 @@ class TestFit:
         fit = json.loads((tmp_path / "ok" / "fit.json").read_text())
         assert fit["degenerate"] is None and fit["chi2"] is not None
 
+    def test_dark_fit_at_the_floor_exits_0(self, tmp_path):
+        # degenerate, but converged with a finite stderr_n: exit 0, the reason in fit.json
+        events = np.random.default_rng(0).normal(0.0, 0.3, 2000)
+        path = tmp_path / "dark.txt"
+        path.write_text("".join(f"{e!r}\n" for e in events.tolist()))
+        assert cli.main(["fit", str(path), "--out", str(tmp_path / "f")]) == 0
+        fit = json.loads((tmp_path / "f" / "fit.json").read_text())
+        assert fit["converged"] is True and fit["n_hat"] == estimation._N_FLOOR
+        assert math.isfinite(fit["stderr_n"])
+        assert fit["degenerate"] == f"n_hat is at its floor {estimation._N_FLOOR}"
+        assert fit["chi2"] is None
+
     def test_unclosed_quote_past_the_field_limit_exit_1(self, tmp_path, capsys):
         path = tmp_path / "ev.csv"
         path.write_text('x\n"' + "1" * 200_000 + "\n")

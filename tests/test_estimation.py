@@ -363,7 +363,7 @@ def _two_buffer_chunks(x, n, sigma, l_max):
     """
     half_width = estimation._band_half_width(n, sigma, l_max)
     k = l_max + 1 if half_width is None else 2 * half_width + 1
-    log_w = estimation._log_poisson_weights(n, l_max)
+    log_w = estimation._log_poisson_weights(n, estimation._log_factorials(l_max))
     half = k // 2
     c = np.rint(x)
     np.fmax(c, half, out=c)
@@ -678,6 +678,43 @@ class TestExactKernel:
         with pytest.warns(RuntimeWarning, match="underflow"):
             assert log_likelihood(events, 2.4, 0.3) == float("-inf")
         assert _em_pass(events, 2.4, 0.3, 20) == banded_reference_em_pass(events, 2.4, 0.3, 20)
+
+    @pytest.mark.parametrize("n, sigma, l_max", [(2.55, 0.33, 20), (1e-9, 0.26, 20),
+                                                 (2.85, 2.0, 21), (5.0, 0.6, 40)])
+    @pytest.mark.parametrize("outlier", [None, 1e3, 1e200])
+    def test_log_likelihood_is_the_pass_ll(self, n, sigma, l_max, outlier):
+        # log_likelihood sums the pass's lse alone; 1e200 has no density, so -inf
+        events = draw_mixture_events(min(n, 10.0), sigma, 3000, seed=29)
+        if outlier is not None:
+            events[7] = outlier
+        want = _em_pass(events, n, sigma, l_max)[0]
+        assert (want == -np.inf) == (outlier == 1e200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = log_likelihood(events, n, sigma, l_max)
+        assert got == want
+        assert [str(w.message) for w in caught] == (
+            ["mixture density underflowed to zero for some events"] if want == -np.inf else [])
+
+    # numpy's axis-0 add.reduce matches the row order in these shapes except
+    # for a lone event at k >= 16, where it adds pairwise
+    @pytest.mark.parametrize("l_max, size", [(15, 1), (20, 1), (40, 1), (20, (1 << 16) + 1)])
+    def test_softmax_sums_the_rows_in_order(self, l_max, size):
+        n, sigma = 2.0, 3.0
+        assert estimation._band_half_width(n, sigma, l_max) is None  # k = l_max + 1
+        # the last chunk's lone event is the same in both sizes
+        events = np.concatenate([draw_mixture_events(n, sigma, size - 1, seed=31),
+                                 draw_mixture_events(n, sigma, 1, seed=30)])
+        got = estimation._passes(events, n, sigma, l_max)
+        want = _band_reference_chunks(events, n, sigma, l_max)
+        chunks = 0
+        with np.errstate(all="ignore"):
+            for (_, _, e, lse, s, _), (_, _, want_lse, _, want_s) in zip(got, want, strict=True):
+                assert e.shape[0] == l_max + 1
+                assert lse.tobytes() == want_lse.tobytes()
+                assert s.tobytes() == want_s.tobytes()
+                chunks += 1
+        assert chunks == 1 + size // (1 << 16)
 
 
 class TestFitMixture:

@@ -16,7 +16,8 @@ instead of normalised responsibilities. The
 plain-EM optimum each one held before is kept in ``PLAIN_EM`` and checked
 too: the pinned fit reaches at least its log-likelihood, moves n and sigma
 by less than a thousandth of the standard error and keeps the standard
-error.
+error. ``test_small_fit_values_pinned`` pins one fit of the coverage
+study's size (700 events) exactly, its standard error included.
 """
 
 import hashlib
@@ -139,3 +140,20 @@ def test_fit_values_pinned():
     assert fit.stderr_n == pytest.approx(0.011526468844864893, rel=1e-9, abs=0)
     assert_agrees_with_plain_em("fit values", fit.n_hat, fit.sigma_hat,
                                 fit.log_likelihood, fit.stderr_n)
+
+
+def test_small_fit_values_pinned():
+    # one fit of the coverage study's size: 700 frames, no leakage, no reset
+    det = DetectorParams(c_input=0.054e-12, g_m=1.0, eta_q=0.8, eta_c=0.8,
+                         leakage_rate=0.0, reset_threshold=1.0)
+    run = simulate_run(RunConfig(n_frames=700, detector=det, noise=NoiseSpec.direct(0.33),
+                                 source=PulseConfig(2.55 / (det.eta_c * det.eta_q)), seed=7))
+    events = extract_events(run)
+    assert events.size == 700
+    fit = fit_mixture(events)
+    assert fit.converged and fit.degenerate is None
+    assert fit.n_iterations == 5
+    assert fit.n_hat == 2.644761084040707
+    assert fit.sigma_hat == 0.3517785912071486
+    assert fit.log_likelihood == -1303.3890547979363
+    assert fit.stderr_n == 0.06272421173890964

@@ -442,6 +442,22 @@ def test_frame_uniforms_are_counter_indexed():
         assert np.array_equal(part, full[start : start + count])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+       start=st.one_of(st.integers(0, 5000), st.integers(0, 2**70)), count=st.integers(0, 40))
+@example(seed=2**64 - 1, stream=STREAM_SIGNAL, start=4 * 2**64 + 3, count=9)
+def test_frame_uniforms_equal_a_fresh_philox_keystream(seed, stream, start, count):
+    # frame_uniforms re-keys one generator; the reference constructs its own,
+    # and below 5000 frames draws the whole prefix
+    fresh = np.random.Philox(key=[np.uint64(seed), np.uint64(stream)])
+    if start < 5000:
+        want = np.random.Generator(fresh).random(start + count)[start:]
+    else:
+        fresh.advance(start // 4)
+        want = np.random.Generator(fresh).random(start % 4 + count)[start % 4:]
+    assert frame_uniforms(seed, stream, start, count).tobytes() == want.tobytes()
+
+
 def test_run_config_validation(device, calibrated_noise):
     with pytest.raises(ValueError, match="n_frames"):
         RunConfig(n_frames=0, detector=device, noise=calibrated_noise)
