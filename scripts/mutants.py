@@ -45,7 +45,11 @@ class Mutant(NamedTuple):
 
 EST = "cipdsim/estimation.py"
 READOUT = "cipdsim/readout.py"
+CONFIG = "cipdsim/config.py"
+CLI = "cipdsim/cli.py"
 KERNEL = "tests/test_estimation.py::TestExactKernel"
+TRAJECTORY = "tests/test_pins.py::test_fit_trajectories_pinned"
+RUN_MESSAGES = "tests/test_pins.py::test_run_range_messages_pinned"
 
 MUTANTS = (
     # the moment E-step
@@ -110,6 +114,45 @@ MUTANTS = (
            "        self.log_fact = _log_factorials(l_max)\n",
            "        self.log_fact = special.gammaln(self.rows + 2.0)\n",
            (f"{KERNEL}::test_band_is_narrower_than_the_cutoff[2.55-0.33-20]",)),
+    # the fit's accept rule and its proposals
+    Mutant("a refused proposal accepted within 1 of the ll to beat", EST,
+           "state[0] >= ll_from else None",
+           "state[0] >= ll_from - 1.0 else None",
+           (f"{TRAJECTORY}[refused]",)),
+    Mutant("the monotonicity check dropped", EST,
+           "        if em_step and state[0] < ll_from - 1e-8 * (1.0 + abs(ll_from)):\n",
+           "        if False:\n",
+           ("tests/test_estimation.py::TestSquarem::"
+            "test_an_em_step_that_lowers_the_likelihood_raises",)),
+    Mutant("no bounds on a proposal that is not an EM step", EST,
+           "        if not (em_step or (_N_FLOOR <= proposal[0] < math.inf\n",
+           "        if not (em_step or (-math.inf < proposal[0] < math.inf\n",
+           (f"{TRAJECTORY}[floor]",)),
+    Mutant("backtracking by alpha / 2", EST,
+           "            alpha = (alpha - 1.0) / 2.0\n",
+           "            alpha = alpha / 2.0\n",
+           (f"{TRAJECTORY}[em-image]",)),
+    Mutant("the EM image preferred at the decrement, not twice it", EST,
+           "        if em_gain > 2.0 * decrement:\n",
+           "        if em_gain > decrement:\n",
+           (f"{TRAJECTORY}[newton]",)),
+    # the run's range, checked by RunConfig alone
+    Mutant("a seed bound of 2**64 inclusive", READOUT,
+           "        if not 0 <= self.seed < 2**64:\n",
+           "        if not 0 <= self.seed <= 2**64:\n",
+           (f"{RUN_MESSAGES}[seed-2**64]",)),
+    Mutant("a run range message without its section", CONFIG,
+           '        raise ConfigError(f"run.{exc}") from exc\n',
+           "        raise ConfigError(str(exc)) from exc\n",
+           (f"{RUN_MESSAGES}[n_frames-0]",)),
+    Mutant("simulate ignores --frames", CLI,
+           "dataclasses.replace(cfg, n_frames=n_frames, seed=seed, source=source)",
+           "dataclasses.replace(cfg, seed=seed, source=source)",
+           ("tests/test_pins.py::test_simulation_bytes_pinned",)),
+    Mutant("a CDS separation derived from a rate of 0", CLI,
+           "                and value > 0\n",
+           "",
+           ("tests/test_cli.py::TestSweep::test_rate_of_zero_or_below_names_the_rate",)),
     # the memory bound and the default cutoff
     Mutant("no byte bound", EST,
            "    if not 8 * doubles < _MAX_WORKSPACE_BYTES:\n",

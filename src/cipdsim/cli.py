@@ -58,7 +58,6 @@ from . import readout
 from .readout import (
     EVENTS_HEADER,
     FRAMES_HEADER,
-    RunConfig,
     simulate_chunks,
     table_writer,
     write_frames,
@@ -178,13 +177,7 @@ def _cmd_simulate(args, dark: bool) -> int:
     source = cfg.source
     if dark and source is not None:  # keeps the configured frame rate
         source = dataclasses.replace(source, mean_photons_at_fiber=0.0)
-    run_cfg = RunConfig(
-        n_frames=n_frames,
-        detector=cfg.detector,
-        noise=cfg.noise,
-        source=source,
-        seed=seed,
-    )
+    run_cfg = dataclasses.replace(cfg, n_frames=n_frames, seed=seed, source=source)
     need = 8 * _EVENT_ARRAYS * n_frames
     if not need < readout._MAX_TABLE_BYTES:
         flag = "--frames" if args.frames is not None else "run.n_frames"
@@ -373,7 +366,7 @@ def _cmd_snr(args) -> int:
     return 0
 
 
-def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
+def _parse_sweep_param(spec: str) -> tuple[str, list[float]]:
     try:
         key, rng = spec.split("=", 1)
         start, stop, step = (float(v) for v in rng.split(":"))
@@ -389,7 +382,7 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
     points = (end - start) / step  # np.arange makes ceil(points) of them
     if not points <= _MAX_TABLE_ROWS:
         raise _UsageError(f"{spec!r} gives {points:.3g} points; the limit is {_MAX_TABLE_ROWS}")
-    return key, np.arange(start, end, step)
+    return key, np.arange(start, end, step).tolist()
 
 
 def _cmd_sweep(args) -> int:
@@ -399,7 +392,7 @@ def _cmd_sweep(args) -> int:
     if cfg.source is None:
         raise ConfigError("sweep requires a source section in the config")
     params = [_parse_sweep_param(p) for p in args.param]
-    points = math.prod(grid.size for _, grid in params)
+    points = math.prod(len(grid) for _, grid in params)
     if points > _MAX_TABLE_ROWS:
         raise _UsageError(f"the grid of {' x '.join(map(repr, args.param))} has {points} "
                           f"points; the limit is {_MAX_TABLE_ROWS}")
@@ -415,9 +408,11 @@ def _cmd_sweep(args) -> int:
         for key, value in zip(keys, point):
             raw[KEY_SECTIONS[key]][key] = value
             # the CDS separation is defined as half the frame period, so it
-            # tracks a swept repetition rate unless swept itself
+            # tracks a swept repetition rate unless swept itself; a rate of 0
+            # or below is left for the source to refuse
             if (
                 key == "rep_rate_hz"
+                and value > 0
                 and raw["noise"].get("mode") == "psd"
                 and "delta_t_cds_s" not in keys
             ):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .detector import DetectorParams
 from .noise import NoiseSpec
+from .readout import RunConfig
 from .source import PulseConfig
 
 
@@ -24,13 +25,10 @@ class ConfigError(ValueError):
     """Invalid or malformed configuration."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    detector: DetectorParams
-    noise: NoiseSpec
-    source: PulseConfig | None
-    n_frames: int
-    seed: int
+@dataclass(frozen=True, kw_only=True)
+class CliConfig(RunConfig):
+    """The run a config file describes, with the JSON document it was read from."""
+
     raw: dict
 
 
@@ -158,19 +156,11 @@ def parse_config(raw: dict) -> CliConfig:
         raise ConfigError(f"run.n_frames must be an integer, got {n_frames!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"run.seed must be an integer, got {seed!r}")
-    if n_frames < 1:
-        raise ConfigError(f"run.n_frames must be >= 1, got {n_frames}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"run.seed must be a 64-bit unsigned int, got {seed}")
-
-    return CliConfig(
-        detector=detector,
-        noise=noise,
-        source=source,
-        n_frames=n_frames,
-        seed=seed,
-        raw=raw,
-    )
+    try:
+        return CliConfig(n_frames=n_frames, detector=detector, noise=noise,
+                         source=source, seed=seed, raw=raw)
+    except ValueError as exc:  # the run's range, as RunConfig checks it
+        raise ConfigError(f"run.{exc}") from exc
 
 
 def load_config(path) -> CliConfig:

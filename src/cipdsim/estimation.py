@@ -633,26 +633,29 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     Otherwise, where ``I`` is positive definite, it proposes the Newton step
     ``t0 + I^-1 g``, or the EM image where the EM step gains more to first
     order, ``g^T (t1 - t0) > g^T I^-1 g``, as it does far from the optimum
-    on well-separated peaks. A Newton proposal is accepted if n >= ``_N_FLOOR``
-    and sigma >= ``SIGMA_FLOOR`` are finite and its log-likelihood is at
-    least ll0; the EM image is accepted after the check below. The 2x2
-    inverse is in closed form.
+    on well-separated peaks. The 2x2 inverse is in closed form.
 
     Where ``I`` is not positive definite (far from the optimum it need not
     be), or the Newton proposal is refused, the fit runs a SQUAREM cycle from
     t0. Its image t1 gave ll0's pass. A pass at t1 gives ll1 and t2. With r =
     t1 - t0, v = t2 - t1 - r and the step length a = min(-|r|/|v|, -1), the
-    cycle proposes t0 - 2 a r + a^2 v and runs a pass there. The proposal is
-    accepted if it keeps the bounds above and its log-likelihood is at least
-    ll1; otherwise a becomes (a - 1)/2 and the cycle proposes again. Once a is
-    above ``_SQUAREM_EM_ALPHA`` (-1.01) the cycle takes t2, the plain EM step
-    (a = -1), whose log-likelihood is checked like ll1. The fit also stops
-    when a cycle's accepted point differs from t0 in log-likelihood by less
-    than ``_EM_TOL``, and a cycle whose first EM image t1 is already that
-    close accepts t1 and stops without a proposal. A point whose
-    log-likelihood is -inf (an event whose density underflows at every
-    point) takes no Newton step, and if its EM image is -inf too the fit
-    stops there with ``converged=False``.
+    cycle proposes t0 - 2 a r + a^2 v; if that is refused, a becomes
+    (a - 1)/2 and the cycle proposes again. Once a is above
+    ``_SQUAREM_EM_ALPHA`` (-1.01) the cycle proposes t2, the plain EM step
+    (a = -1). The fit also stops when a cycle's accepted point differs from
+    t0 in log-likelihood by less than ``_EM_TOL``, and a cycle whose first
+    EM image t1 is already that close accepts t1 and stops without a
+    proposal. A point whose log-likelihood is -inf (an event whose density
+    underflows at every point) takes no Newton step, and if its EM image is
+    -inf too the fit stops there with ``converged=False``.
+
+    One accept rule decides every step, against the log-likelihood ll to
+    beat: ll0 at the Newton site and for t1, ll1 for the cycle's proposals.
+    An EM step (the EM image, t1 or t2) is always accepted, but raises
+    ``ConvergenceError`` if its log-likelihood is below ll - 1e-8 (1 + |ll|).
+    Any other proposal runs a pass only if n >= ``_N_FLOOR`` and sigma >=
+    ``SIGMA_FLOOR`` are finite, and is accepted if its log-likelihood is at
+    least ll.
     ``n_iterations`` counts every pass, rejected proposals included, and at
     most ``_EM_ITERATIONS`` (500) are run; a fit that reaches the cap
     returns the last accepted point with ``converged=False``.
@@ -672,8 +675,8 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         ``_MAX_WORKSPACE_BYTES`` or more; or a sample mean above ``l_max / 2``,
         where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
-        An EM step lowered the log-likelihood, ll1 < ll0 - 1e-8 (1 + |ll0|)
-        for a point and its EM image, which a correct update cannot do.
+        An EM step lowered the log-likelihood, which a correct update cannot
+        do.
     """
     events = np.asarray(events, dtype=float)
     if events.size < 50:
@@ -693,7 +696,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
 
     # points, images and steps are (n, sigma) pairs of floats
     def em_map(theta):
-        """One E-step at ``theta``: ll, EM image and ``(proposal, decrement, information)``.
+        """One E-step at ``theta``: ``(ll, image, proposal, decrement, information)``.
 
         The proposal is the point to try next: the Newton step from
         ``theta``, or the EM image where that gains more to first order; None
@@ -708,52 +711,52 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         g_n, g_s = _gradient(events.size, n, sigma, sum_rl, sum_rsq)
         step, decrement = _newton(g_n, g_s, info)
         if step is None:
-            return ll, image, (None, decrement, info)
+            return ll, image, None, decrement, info
         # far from the optimum the EM step can reach further than the local
         # quadratic model, whose gain to first order is g^T I^-1 g
         em_gain = g_n * (image[0] - n) + g_s * (image[1] - sigma)
         if em_gain > 2.0 * decrement:
-            return ll, image, (image, decrement, info)
-        return ll, image, ((n + step[0], sigma + step[1]), decrement, info)
+            return ll, image, image, decrement, info
+        return ll, image, (n + step[0], sigma + step[1]), decrement, info
 
-    def check_increase(ll_from, ll_to):
-        if ll_to < ll_from - 1e-8 * (1.0 + abs(ll_from)):
+    def attempt(proposal, ll_from, em_step):
+        """``(proposal, *em_map(proposal))`` if the accept rule takes it, else None."""
+        if not (em_step or (_N_FLOOR <= proposal[0] < math.inf
+                            and SIGMA_FLOOR <= proposal[1] < math.inf)):
+            return None
+        state = em_map(proposal)
+        if em_step and state[0] < ll_from - 1e-8 * (1.0 + abs(ll_from)):
             raise ConvergenceError(
-                f"EM log-likelihood decreased ({ll_from} -> {ll_to}); "
+                f"EM log-likelihood decreased ({ll_from} -> {state[0]}); "
                 "this indicates a broken update"
             )
-
-    def in_bounds(theta):
-        return _N_FLOOR <= theta[0] < math.inf and SIGMA_FLOOR <= theta[1] < math.inf
+        return (proposal, *state) if em_step or state[0] >= ll_from else None
 
     # theta is the last accepted point, ll its log-likelihood, image its EM
-    # image and newton its (proposal, decrement, information)
+    # image, and proposal, decrement and info those of its Newton step
     theta = (max(sample_mean, 0.05), 0.3)
-    ll, image, newton = em_map(theta)
+    ll, image, proposal, decrement, info = em_map(theta)
     converged = False
     while passes < _EM_ITERATIONS:
-        proposal, decrement, _ = newton
         if proposal is not None and ll > -math.inf:
             if decrement < _EM_TOL:
                 converged = True
                 break
-            if in_bounds(proposal):
-                ll_new, image_new, newton_new = em_map(proposal)
-                em_step = proposal is image
-                if em_step:
-                    check_increase(ll, ll_new)
-                if em_step or ll_new >= ll:
-                    theta, ll, image, newton = proposal, ll_new, image_new, newton_new
-                    continue
-                if passes >= _EM_ITERATIONS:
-                    break
+            # an EM image proposed here needs no bounds: a finite decrement
+            # means finite sums
+            accepted = attempt(proposal, ll, proposal is image)
+            if accepted:
+                theta, ll, image, proposal, decrement, info = accepted
+                continue
+            if passes >= _EM_ITERATIONS:
+                break
         # a SQUAREM cycle from theta
-        ll_image, image2, newton_image = em_map(image)
-        check_increase(ll, ll_image)
+        first = attempt(image, ll, True)
+        ll_image, image2 = first[1], first[2]
         if abs(ll_image - ll) < _EM_TOL or not ll_image > -math.inf:
             # converged, or a point of -inf whose EM image gained nothing finite
             converged = ll_image > -math.inf
-            theta, ll, newton = image, ll_image, newton_image
+            theta, ll, image, proposal, decrement, info = first
             break
         r = (image[0] - theta[0], image[1] - theta[1])
         v = (image2[0] - image[0] - r[0], image2[1] - image[1] - r[1])
@@ -762,24 +765,21 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         while passes < _EM_ITERATIONS:
             em_step = alpha > _SQUAREM_EM_ALPHA
             if em_step:
-                proposal = image2
+                point = image2
             else:
                 two_alpha, alpha2 = 2.0 * alpha, alpha**2
-                proposal = (theta[0] - two_alpha * r[0] + alpha2 * v[0],
-                            theta[1] - two_alpha * r[1] + alpha2 * v[1])
-            if em_step or in_bounds(proposal):
-                ll_new, image_new, newton_new = em_map(proposal)
-                if em_step:
-                    check_increase(ll_image, ll_new)
-                if em_step or ll_new >= ll_image:
-                    converged = abs(ll_new - ll) < _EM_TOL
-                    theta, ll, image, newton = proposal, ll_new, image_new, newton_new
-                    break
+                point = (theta[0] - two_alpha * r[0] + alpha2 * v[0],
+                         theta[1] - two_alpha * r[1] + alpha2 * v[1])
+            accepted = attempt(point, ll_image, em_step)
+            if accepted:
+                converged = abs(accepted[1] - ll) < _EM_TOL
+                theta, ll, image, proposal, decrement, info = accepted
+                break
             alpha = (alpha - 1.0) / 2.0
         if converged:
             break
 
-    stderr_n, degenerate = _standard_error(theta[0], newton[2])
+    stderr_n, degenerate = _standard_error(theta[0], info)
     return MixtureFit(
         n_hat=theta[0],
         sigma_hat=theta[1],
@@ -963,7 +963,13 @@ def goodness_of_fit(hist: Histogram, fit: MixtureFit) -> tuple[float, int]:
 
     Bins are merged left to right until every expected count reaches 5 (a
     trailing remainder is folded into the last group); degrees of freedom
-    are the merged bins minus one minus the two fitted parameters.
+    are the merged bins minus one minus the two fitted parameters, k - 3 of
+    k groups. The fit uses the ungrouped events, not these counts, so the
+    statistic lies between chi2(k - 3) and chi2(k - 1) (Chernoff & Lehmann
+    1954, Ann. Math. Statist. 25:579), and a p-value read against ``dof``
+    overstates significance: at 1 e bins (about 8 dof) p < 0.05 in 7.5% of
+    correct fits of 2e4 events at n 2.22, sigma 0.33. At 0.1 e bins (53-88
+    dof) the difference is negligible.
     """
     if not fit.converged:
         raise ValueError("goodness_of_fit requires a converged fit")

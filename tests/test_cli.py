@@ -717,6 +717,16 @@ class TestSweep:
         assert mean == 0.0
         assert derr == special.ndtr(-0.5 / sigma_e)
 
+    @pytest.mark.parametrize("spec, rate", [("rep_rate_hz=0:1:0.5", "0.0"),
+                                            ("rep_rate_hz=-1:1:0.5", "-1.0")])
+    def test_rate_of_zero_or_below_names_the_rate(self, tmp_path, spec, rate):
+        # no CDS separation is derived from such a rate: the source refuses
+        # the rate itself, with no warning before the one-line error
+        res = run_cli("sweep", "--out", tmp_path / "sw", "--param", spec)
+        assert res.returncode == 1
+        assert single_json_error(res)["message"] == f"source: rep_rate must be > 0, got {rate}"
+        assert not (tmp_path / "sw").exists()
+
     def test_two_parameter_grid(self, tmp_path):
         out = tmp_path / "sw"
         res = run_cli(

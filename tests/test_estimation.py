@@ -31,7 +31,7 @@ from cipdsim import (
     sigma_from_dark,
 )
 from cipdsim import estimation
-from cipdsim.estimation import SIGMA_FLOOR, _em_pass, _Workspace
+from cipdsim.estimation import SIGMA_FLOOR, ConvergenceError, _em_pass, _Workspace
 
 
 def draw_mixture_events(n, sigma, size, seed):
@@ -959,6 +959,17 @@ class TestSquarem:
         assert len(calls) == fit.n_iterations
         # and the fit runs no pass twice at one point
         assert len(set(calls)) == fit.n_iterations
+
+    def test_an_em_step_that_lowers_the_likelihood_raises(self, monkeypatch):
+        # a broken M-step: sum(r l) half what it is, so the EM image of every
+        # point lies at half the Poisson mean it should
+        def broken_pass(*args, **kwargs):
+            ll, sum_rl, *rest = _em_pass(*args, **kwargs)
+            return (ll, 0.5 * sum_rl, *rest)
+
+        monkeypatch.setattr(estimation, "_em_pass", broken_pass)
+        with pytest.raises(ConvergenceError, match="log-likelihood decreased"):
+            fit_mixture(draw_mixture_events(2.0, 0.3, 700, seed=42))
 
     def test_cap_returns_the_last_accepted_point(self, monkeypatch):
         events = draw_mixture_events(5.0, 0.5, 700, seed=42)

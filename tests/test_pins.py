@@ -18,6 +18,10 @@ too: the pinned fit reaches at least its log-likelihood, moves n and sigma
 by less than a thousandth of the standard error and keeps the standard
 error. ``test_small_fit_values_pinned`` pins one fit of the coverage
 study's size (700 events) exactly, its standard error included.
+``test_fit_trajectories_pinned`` pins every point the fit runs a pass at,
+on inputs that reach each kind of step, and
+``test_run_range_messages_pinned`` the config's messages for a run out of
+range.
 """
 
 import hashlib
@@ -25,17 +29,22 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cipdsim import (
+    ConfigError,
     DetectorParams,
     NoiseSpec,
     PulseConfig,
     RunConfig,
+    default_config_path,
+    estimation,
     extract_events,
     fit_mixture,
     simulate_run,
 )
+from cipdsim.config import parse_config
 
 SIMULATE_PINS = {
     "events.csv": "a098f689aecec87326f4de952a0226b17d3c9a757917a6e29366c48e0b187f8f",
@@ -157,3 +166,58 @@ def test_small_fit_values_pinned():
     assert fit.sigma_hat == 0.3517785912071486
     assert fit.log_likelihood == -1303.3890547979363
     assert fit.stderr_n == 0.06272421173890964
+
+
+def mixture_events(n, sigma, size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.poisson(n, size) + rng.normal(0.0, sigma, size)
+
+
+#: sha256 of the repr of ``(points, fit)``: the ``(n, sigma)`` of every pass
+#: ``fit_mixture`` runs, in order, and the ``MixtureFit`` it returns
+TRAJECTORY_PINS = {
+    # Newton steps only
+    "newton": (lambda: mixture_events(2.22, 0.33, 20000, 5),
+               "7d6703cea2258bd87c2d9d9b1cab5b80a81616960c050a35282fa061373ef3a6"),
+    # the Newton site's EM image, a SQUAREM cycle and 3 backtracks
+    "em-image": (lambda: mixture_events(1.07, 0.02, 700, 0),
+                 "dbb669e340fe705a31cb206fa9dfb05d3c249b7f5e368baa7651e1fa33d20d33"),
+    # backtracking, the plain EM step, and n_hat at its floor
+    "floor": (lambda: np.random.default_rng(0).normal(0.0, 0.3, 2000),
+              "575eb214d710064d5486bb752e23b03083c2440a5f2b8156337cc53c1973e3cc"),
+    # every step kind, and a degenerate fit
+    "degenerate": (lambda: np.random.default_rng(1).normal(-50.0, 50.0, 500),
+                   "4b5bd15f05118b67da748329e0cd6092e4d0a464aaaf900248881c092b23be93"),
+    # Newton and SQUAREM proposals refused inside the bounds, some by less
+    # than 1 in log-likelihood
+    "refused": (lambda: mixture_events(12.0, 0.8, 500, 0),
+                "fa7611d89770fc41d493a9dfe71b5691e946ac0c127c51e8910bfbf67a8cf9ec"),
+}
+
+
+@pytest.mark.parametrize("name", TRAJECTORY_PINS)
+def test_fit_trajectories_pinned(monkeypatch, name):
+    draw, pin = TRAJECTORY_PINS[name]
+    points = []
+    em_pass = estimation._em_pass
+
+    def recording_pass(events, n, sigma, *args, **kwargs):
+        points.append((n, sigma))
+        return em_pass(events, n, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_em_pass", recording_pass)
+    fit = fit_mixture(draw())
+    assert hashlib.sha256(repr((points, fit)).encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("run, message", [
+    ({"n_frames": 0}, "run.n_frames must be >= 1, got 0"),
+    ({"seed": -1}, "run.seed must be a 64-bit unsigned int, got -1"),
+    ({"seed": 2**64}, "run.seed must be a 64-bit unsigned int, got 18446744073709551616"),
+], ids=["n_frames-0", "seed-negative", "seed-2**64"])
+def test_run_range_messages_pinned(run, message):
+    raw = json.loads(default_config_path().read_text())
+    raw["run"] = run
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value) == message
