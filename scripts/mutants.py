@@ -47,6 +47,7 @@ EST = "cipdsim/estimation.py"
 READOUT = "cipdsim/readout.py"
 CONFIG = "cipdsim/config.py"
 CLI = "cipdsim/cli.py"
+BOUNDS = "cipdsim/_bounds.py"
 KERNEL = "tests/test_estimation.py::TestExactKernel"
 TRAJECTORY = "tests/test_pins.py::test_fit_trajectories_pinned"
 RUN_MESSAGES = "tests/test_pins.py::test_run_range_messages_pinned"
@@ -153,12 +154,28 @@ MUTANTS = (
            "                and value > 0\n",
            "",
            ("tests/test_cli.py::TestSweep::test_rate_of_zero_or_below_names_the_rate",)),
-    # the memory bound and the default cutoff
-    Mutant("no byte bound", EST,
-           "    if not 8 * doubles < _MAX_WORKSPACE_BYTES:\n",
+    Mutant("the repeated-key refusal dropped", CLI,
+           "    if len(set(keys)) < len(keys):\n",
+           "    if False:\n",
+           ("tests/test_cli.py::TestSweep::test_repeated_key_exit_1",)),
+    # the memory bound, the Poisson table and the default cutoff
+    Mutant("no byte bound", BOUNDS,
+           "    if not 8 * doubles < MAX_BYTES:\n",
            "    if False:\n",
            ("tests/test_estimation.py::TestWorkspaceBound::"
             "test_refused_just_above_the_limit[log_likelihood]",)),
+    Mutant("the CLI event-array bound dropped", CLI,
+           '    refuse_over_limit(_EVENT_ARRAYS * n_frames, f"{flag} {n_frames}")\n',
+           "",
+           ("tests/test_cli.py::TestSimulate::test_frames_bound_refused_before_any_output",)),
+    Mutant("a table bound one entry short", READOUT,
+           "    refuse_over_limit(entries, what)\n",
+           "    refuse_over_limit(entries - 1.0, what)\n",
+           ("tests/test_readout.py::test_poisson_table_bound",)),
+    Mutant("the tail check dropped", READOUT,
+           "    if not 1.0 - cdf[-1] <= 1e-15:\n",
+           "    if False:\n",
+           ("tests/test_readout.py::test_a_table_short_of_the_tail_is_refused",)),
     Mutant("a default cutoff of ceil(2 mean) + 3", EST,
            "        l_max = max(20, math.ceil(2.0 * float(mean)) + 2)\n",
            "        l_max = max(20, math.ceil(2.0 * float(mean)) + 3)\n",

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bounds import refuse_over_limit
 from .config import (
     KEY_SECTIONS,
     CliConfig,
@@ -54,7 +55,6 @@ from .estimation import (
     mixture_density,
 )
 from .noise import QuadratureError, cds_sigma
-from . import readout
 from .readout import (
     EVENTS_HEADER,
     FRAMES_HEADER,
@@ -178,11 +178,8 @@ def _cmd_simulate(args, dark: bool) -> int:
     if dark and source is not None:  # keeps the configured frame rate
         source = dataclasses.replace(source, mean_photons_at_fiber=0.0)
     run_cfg = dataclasses.replace(cfg, n_frames=n_frames, seed=seed, source=source)
-    need = 8 * _EVENT_ARRAYS * n_frames
-    if not need < readout._MAX_TABLE_BYTES:
-        flag = "--frames" if args.frames is not None else "run.n_frames"
-        raise _UsageError(f"{flag} {n_frames} needs {need} bytes for its event arrays; "
-                          f"the limit is {readout._MAX_TABLE_BYTES}")
+    flag = "--frames" if args.frames is not None else "run.n_frames"
+    refuse_over_limit(_EVENT_ARRAYS * n_frames, f"{flag} {n_frames}")
     chunks = simulate_chunks(run_cfg)  # a refused input raises here, before any output
 
     out_dir = Path(args.out)
@@ -366,7 +363,8 @@ def _cmd_snr(args) -> int:
     return 0
 
 
-def _parse_sweep_param(spec: str) -> tuple[str, list[float]]:
+def _parse_sweep_param(spec: str) -> tuple[str, tuple[float, float, float]]:
+    """The key of a ``--param`` and the ``np.arange`` arguments of its grid."""
     try:
         key, rng = spec.split("=", 1)
         start, stop, step = (float(v) for v in rng.split(":"))
@@ -378,11 +376,7 @@ def _parse_sweep_param(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"unknown sweep key {key!r}")
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise _UsageError(f"bad range in {spec!r}")
-    end = stop + 0.5 * step
-    points = (end - start) / step  # np.arange makes ceil(points) of them
-    if not points <= _MAX_TABLE_ROWS:
-        raise _UsageError(f"{spec!r} gives {points:.3g} points; the limit is {_MAX_TABLE_ROWS}")
-    return key, np.arange(start, end, step).tolist()
+    return key, (start, stop + 0.5 * step, step)
 
 
 def _cmd_sweep(args) -> int:
@@ -391,13 +385,16 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("at most two --param options are supported")
     if cfg.source is None:
         raise ConfigError("sweep requires a source section in the config")
-    params = [_parse_sweep_param(p) for p in args.param]
-    points = math.prod(len(grid) for _, grid in params)
-    if points > _MAX_TABLE_ROWS:
-        raise _UsageError(f"the grid of {' x '.join(map(repr, args.param))} has {points} "
+    keys, spans = zip(*map(_parse_sweep_param, args.param))
+    if len(set(keys)) < len(keys):
+        raise _UsageError(f"sweep key {keys[0]!r} is given twice")
+    # np.arange makes ceil((end - start) / step) points; in Python floats a
+    # product too large is inf, with no numpy warning
+    points = math.prod(float(np.ceil((end - start) / step)) for start, end, step in spans)
+    if not points <= _MAX_TABLE_ROWS:
+        raise _UsageError(f"the grid of {' x '.join(map(repr, args.param))} has {points:g} "
                           f"points; the limit is {_MAX_TABLE_ROWS}")
-
-    keys, grids = zip(*params)
+    grids = [np.arange(*span).tolist() for span in spans]
 
     # the swept sigma_e passes through cds_sigma unchanged, so drop the
     # derived column rather than emit a duplicate header

@@ -74,6 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._bounds import refuse_over_limit
+
 #: Lower clamp on the fitted sigma (electrons); prevents zero-variance
 #: collapse on degenerate data. Far below any physical readout width.
 SIGMA_FLOOR = 0.01
@@ -83,15 +85,12 @@ SIGMA_FLOOR = 0.01
 _N_FLOOR = 1e-9
 
 _EVENT_CHUNK = 1 << 16
-#: All the float64 one estimator call holds at its peak stay below this many
-#: bytes together (``_refuse_over_limit``); the caller's events and a result
-#: of one value per event do not count. Counted per call, with room for the
-#: small arrays beside them: ``_WEIGHT_ARRAYS`` of ``l_max + 1`` doubles (at
-#: most four held), ``_CHUNK_VECTORS`` of a likelihood pass's chunk beside
-#: its buffer (the workspace's ``_PASS_VECTORS`` and at most two more) and
-#: ``_EDGE_ARRAYS`` the length of the bin edges (at most four: the counts,
-#: edges, CDF and term buffer).
-_MAX_WORKSPACE_BYTES = 1 << 28
+#: The arrays an estimator call counts against ``_bounds.MAX_BYTES``, with
+#: room for the small arrays beside them: ``_WEIGHT_ARRAYS`` of ``l_max + 1``
+#: doubles (at most four held), ``_CHUNK_VECTORS`` of a likelihood pass's
+#: chunk beside its buffer (the workspace's ``_PASS_VECTORS`` and at most two
+#: more) and ``_EDGE_ARRAYS`` the length of the bin edges (at most four: the
+#: counts, edges, CDF and term buffer).
 _WEIGHT_ARRAYS = 4
 _CHUNK_VECTORS = 10
 _PASS_VECTORS = 8
@@ -179,7 +178,7 @@ def build_histogram(events, bin_width: float) -> Histogram:
 
     Raises ``ValueError`` for a non-finite or non-positive ``bin_width``,
     non-finite events, or a range whose ``_EDGE_ARRAYS`` arrays of bin
-    edges would need ``_MAX_WORKSPACE_BYTES`` or more.
+    edges would need ``_bounds.MAX_BYTES`` or more.
     """
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
@@ -189,7 +188,7 @@ def build_histogram(events, bin_width: float) -> Histogram:
     if not np.isfinite(events).all():
         raise ValueError("cannot histogram non-finite events")
     grid, first, n_bins = _grid(events, bin_width)
-    _refuse_over_limit(
+    refuse_over_limit(
         _EDGE_ARRAYS * (n_bins + 1),
         f"bin_width {bin_width} gives {n_bins:.3g} bins over [{events.min()}, "
         f"{events.max()}]; binning and comparing them",
@@ -215,13 +214,6 @@ def _grid(events, bin_width: float):
         return grid, first, grid.max() - first + 1.0
 
 
-def _refuse_over_limit(doubles, what: str) -> None:
-    """Raise ``ValueError`` naming ``what`` unless ``doubles`` float64 fit below the limit."""
-    if not 8 * doubles < _MAX_WORKSPACE_BYTES:
-        limit = _MAX_WORKSPACE_BYTES
-        raise ValueError(f"{what} needs {8 * doubles:.6g} bytes; the limit is {limit}")
-
-
 def _cutoff(mean: float, l_max: int | None = None) -> int:
     """``l_max``, by default ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
 
@@ -232,7 +224,7 @@ def _cutoff(mean: float, l_max: int | None = None) -> int:
         if not math.isfinite(2.0 * float(mean)):
             raise ValueError(f"mean {mean} gives no finite l_max")
         l_max = max(20, math.ceil(2.0 * float(mean)) + 2)
-    _refuse_over_limit(_WEIGHT_ARRAYS * (l_max + 1), f"a call at l_max {l_max}")
+    refuse_over_limit(_WEIGHT_ARRAYS * (l_max + 1), f"a call at l_max {l_max}")
     return l_max
 
 
@@ -257,7 +249,7 @@ class _Workspace:
     """Kernel buffers for one chunk of ``n_events`` events, reused across passes.
 
     Refuses, before allocating anything, an ``l_max`` below 1 or one whose
-    pass would hold ``_MAX_WORKSPACE_BYTES`` or more, counting the buffer,
+    pass would hold ``_bounds.MAX_BYTES`` or more, counting the buffer,
     the weight and chunk arrays (the ``_PASS_VECTORS`` chunk vectors of
     ``vectors`` among them), and two of numpy's iterator buffers, which a
     broadcast over a short event axis fills. The buffer is laid out
@@ -273,8 +265,8 @@ class _Workspace:
             raise ValueError(f"l_max must be >= 1, got {l_max}")
         chunk = min(n_events, _EVENT_CHUNK)
         cells = chunk * (l_max + 1)
-        _refuse_over_limit(cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
-                           + 2 * np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
+        refuse_over_limit(cells + _WEIGHT_ARRAYS * (l_max + 1) + _CHUNK_VECTORS * chunk
+                          + 2 * np.getbufsize(), f"a pass over {n_events} events at l_max {l_max}")
         # the vectors first: below the buffer on the heap, they keep no freed
         # buffer from going back to the system
         self.vectors = np.empty(_PASS_VECTORS * chunk)  # event vectors, then the moments
@@ -672,7 +664,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
     ValueError
         A non-finite sample mean (a NaN or infinite event, or a sum that
         overflows); an ``l_max`` below 1 or one whose E-step would hold
-        ``_MAX_WORKSPACE_BYTES`` or more; or a sample mean above ``l_max / 2``,
+        ``_bounds.MAX_BYTES`` or more; or a sample mean above ``l_max / 2``,
         where the cutoff would truncation-bias the Poisson mean.
     ConvergenceError
         An EM step lowered the log-likelihood, which a correct update cannot

@@ -41,6 +41,7 @@ from itertools import compress
 import numpy as np
 from scipy import special
 
+from ._bounds import refuse_over_limit
 from .detector import DetectorParams, volts_per_carrier
 from .noise import NoiseSpec, cds_sigma
 from .source import PulseConfig, mean_carriers
@@ -49,10 +50,6 @@ from .source import PulseConfig, mean_carriers
 STREAM_SIGNAL = 0x51
 STREAM_LEAKAGE = 0x1E
 STREAM_NOISE = 0xC5
-
-#: A Poisson sampling table (one float64 per carrier count) must stay below
-#: this many bytes.
-_MAX_TABLE_BYTES = 1 << 28
 
 #: Frames that :func:`simulate_chunks` generates at a time by default.
 _CHUNK_FRAMES = 4096
@@ -138,26 +135,21 @@ def _keyed_uniforms(bg, seed, stream, start, count):
 def _poisson_cdf_table(mu: float, name: str) -> np.ndarray:
     """Poisson CDF table covering all but < 1e-15 of the upper tail.
 
-    Refuses, before allocating, a table of ``_MAX_TABLE_BYTES`` or more, with
-    a ``ValueError`` naming ``name``, the parameter that set the mean ``mu``.
-    The table is the only array the call holds: it is built in place on a
-    float grid (``pdtr`` computes in doubles), and a table too short is
-    freed before the next one, twice as long, is built.
+    The table runs to ``mu + 12 sqrt(mu) + 20`` carriers, which covers that
+    tail for every mean the memory bound (``_bounds``) admits. A table the
+    bound refuses, before allocating, and one that falls short of the tail
+    raise ``ValueError`` naming ``name``, the parameter that set the mean
+    ``mu``. The table is the only array the call holds: it is built in place
+    on a float grid (``pdtr`` computes in doubles).
     """
-    # capped so that a huge or infinite mean still fails the size check
-    kmax = int(min(mu + 12.0 * np.sqrt(mu) + 20.0, _MAX_TABLE_BYTES // 8))
-    while True:
-        if (kmax + 1) * 8 >= _MAX_TABLE_BYTES:
-            raise ValueError(
-                f"{name} gives a Poisson mean of {mu:.6g} carriers per frame; "
-                f"its sampling table would reach the limit of {_MAX_TABLE_BYTES} bytes"
-            )
-        cdf = np.arange(kmax + 1.0)
-        special.pdtr(cdf, mu, out=cdf)
-        if 1.0 - cdf[-1] <= 1e-15:
-            return cdf
-        del cdf
-        kmax *= 2
+    what = f"{name} gives a Poisson mean of {mu:.6g} carriers per frame; its sampling table"
+    entries = np.floor(mu + 12.0 * np.sqrt(mu) + 20.0) + 1.0  # inf for an infinite mean
+    refuse_over_limit(entries, what)
+    cdf = np.arange(entries)
+    special.pdtr(cdf, mu, out=cdf)
+    if not 1.0 - cdf[-1] <= 1e-15:
+        raise ValueError(f"{what} leaves {1.0 - cdf[-1]:.3g} of the tail uncovered")
+    return cdf
 
 
 def _poisson_sampler(mu: float, name: str):
@@ -304,7 +296,7 @@ def simulate_run(cfg: RunConfig) -> FrameRun:
     A dark run is a source with zero mean photons, which integrates leakage
     at that source's frame rate; no source means ``PulseConfig(0.0)``, the
     default 40 Hz. A mean whose Poisson sampling table would reach
-    ``_MAX_TABLE_BYTES`` raises ``ValueError`` naming
+    ``_bounds.MAX_BYTES`` raises ``ValueError`` naming
     ``mean_photons_at_fiber`` or ``leakage_rate``. The whole run is the one
     chunk of :func:`simulate_chunks`.
     """

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cipdsim import cli, default_config_path, estimation, readout
+from cipdsim import _bounds, cli, default_config_path, estimation, readout
 
 
 def run_cli(*args, cwd=None):
@@ -153,13 +153,13 @@ class TestSimulate:
     def test_frames_bound_refused_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                     command):
         # three arrays of 8 bytes a frame: 999 frames fit below 24000 bytes, 1000 do not
-        monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 24 * 1000)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", 24 * 1000)
         out = tmp_path / "o"
         assert cli.main([command, "--frames", "999", "--out", str(out / "a"),
                          "--no-timestamp"]) == 0
         code, message = main_error(capsys, command, "--frames", 1000, "--out", out / "b")
         assert code == 1
-        assert message == "--frames 1000 needs 24000 bytes for its event arrays; the limit is 24000"
+        assert message == "--frames 1000 needs 24000 bytes; the limit is 24000"
         assert not (out / "b").exists()
 
     def test_frames_bound_at_the_real_limit(self, tmp_path, capsys, monkeypatch):
@@ -727,6 +727,14 @@ class TestSweep:
         assert single_json_error(res)["message"] == f"source: rep_rate must be > 0, got {rate}"
         assert not (tmp_path / "sw").exists()
 
+    def test_repeated_key_exit_1(self, tmp_path):
+        # one key twice would tabulate its first value under both columns
+        res = run_cli("sweep", "--out", tmp_path / "sw", "--param", "rep_rate_hz=20:40:20",
+                      "--param", "rep_rate_hz=20:40:20")
+        assert res.returncode == 1
+        assert single_json_error(res)["message"] == "sweep key 'rep_rate_hz' is given twice"
+        assert not (tmp_path / "sw").exists()
+
     def test_two_parameter_grid(self, tmp_path):
         out = tmp_path / "sw"
         res = run_cli(
@@ -848,7 +856,7 @@ class TestFitInputBounds:
     def test_l_max_bound_counts_one_event_chunk(self, tmp_path, capsys):
         # the buffer holds min(N, chunk) events, so a cutoff that a full
         # chunk cannot afford passes the check for a few events
-        l_max = estimation._MAX_WORKSPACE_BYTES // (8 * estimation._EVENT_CHUNK)
+        l_max = _bounds.MAX_BYTES // (8 * estimation._EVENT_CHUNK)
         few = write_events(tmp_path / "few.txt")
         assert cli.main(["fit", str(few), "--out", str(tmp_path / "ok"),
                          "--l-max", str(l_max)]) == 0

@@ -30,7 +30,7 @@ from cipdsim import (
     mixture_density,
     sigma_from_dark,
 )
-from cipdsim import estimation
+from cipdsim import _bounds, estimation
 from cipdsim.estimation import SIGMA_FLOOR, ConvergenceError, _em_pass, _Workspace
 
 
@@ -111,7 +111,7 @@ class TestBuildHistogram:
 
     def test_bin_count_bound(self, monkeypatch):
         # five arrays of 19 edges fit below 100 doubles, of 20 edges do not
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", 8 * 100)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", 8 * 100)
         assert estimation._EDGE_ARRAYS == 5
         assert len(build_histogram([0.0, 1.7], 0.1).counts) == 18
         with pytest.raises(ValueError, match="19 bins over .* the limit is 800$"):
@@ -121,7 +121,7 @@ class TestBuildHistogram:
         # a histogram at the largest bin count build_histogram accepts, and
         # the model counts for it, together stay below the limit
         limit = 1 << 20
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", limit)
         n_bins = largest_accepted(lambda n: build_histogram([0.0, n - 1.0], 1.0), 1, limit // 8)
         tracemalloc.start()
         try:
@@ -1018,7 +1018,7 @@ class TestWorkspaceBound:
 
     @pytest.fixture
     def small_limit(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", self.LIMIT)
 
     def largest_l_max(self):
         # the buffer of N x (l_max + 1), the weight arrays, the chunk vectors
@@ -1123,7 +1123,7 @@ class TestWeightBound:
 
     @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
     def test_refused_just_above_the_limit(self, monkeypatch, entry):
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", self.LIMIT)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", self.LIMIT)
         l_max = self.largest_l_max(self.LIMIT)
         assert np.all(np.isfinite(WEIGHT_ENTRY_POINTS[entry](l_max)))
         with pytest.raises(ValueError, match=f"l_max {l_max + 1} needs") as info:
@@ -1145,7 +1145,7 @@ class TestWeightBound:
     def test_peak_stays_below_the_limit(self, monkeypatch, entry):
         # every array a call holds at once counts, not one array of weights
         limit = 1 << 22
-        monkeypatch.setattr(estimation, "_MAX_WORKSPACE_BYTES", limit)
+        monkeypatch.setattr(_bounds, "MAX_BYTES", limit)
         l_max = self.largest_l_max(limit)
         tracemalloc.start()
         try:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from cipdsim import (
     DetectorParams,
@@ -16,7 +17,7 @@ from cipdsim import (
     simulate_run,
     volts_per_carrier,
 )
-from cipdsim import readout
+from cipdsim import _bounds, readout
 from cipdsim.cli import _read_events
 from cipdsim.readout import (
     EVENTS_HEADER,
@@ -88,10 +89,11 @@ def test_poisson_table_bound(monkeypatch):
     # a mean of 64 carriers needs 64 + 12*8 + 20 + 1 = 181 table entries
     cfg = RunConfig(n_frames=10, detector=make_detector(0.0),
                     noise=NoiseSpec.direct(0.3), source=PulseConfig(100.0))
-    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 8 * 182)
+    monkeypatch.setattr(_bounds, "MAX_BYTES", 8 * 182)
     simulate_run(cfg)
-    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", 8 * 181)
-    with pytest.raises(ValueError, match="^mean_photons_at_fiber .* limit of 1448 bytes$"):
+    monkeypatch.setattr(_bounds, "MAX_BYTES", 8 * 181)
+    with pytest.raises(ValueError,
+                       match="^mean_photons_at_fiber .* needs 1448 bytes; the limit is 1448$"):
         simulate_run(cfg)
 
 
@@ -99,7 +101,7 @@ def test_poisson_table_is_the_only_array_the_call_holds(monkeypatch):
     # a mean of 125000 carriers needs int(125000 + 12*353.6 + 20) + 1 = 129263
     # entries, 1034104 bytes, just below the limit
     limit = 1 << 20
-    monkeypatch.setattr(readout, "_MAX_TABLE_BYTES", limit)
+    monkeypatch.setattr(_bounds, "MAX_BYTES", limit)
     tracemalloc.start()
     try:
         cdf = readout._poisson_cdf_table(125000.0, "mean_photons_at_fiber")
@@ -108,6 +110,33 @@ def test_poisson_table_is_the_only_array_the_call_holds(monkeypatch):
         tracemalloc.stop()
     assert cdf.size == 129263
     assert peak < limit
+
+
+def test_first_table_covers_the_tail():
+    # the table runs to floor(mu + 12 sqrt(mu) + 20); its last entry leaves
+    # at most 1e-15 of the tail for every admissible mean, up to 3.3484971e7
+    # carriers, whose 2**25 - 1 entries are just below 256 MiB
+    mus = np.geomspace(1e-9, 3.3484971e7, 4000)
+    last = np.floor(mus + 12.0 * np.sqrt(mus) + 20.0)
+    assert 8 * (last[-1] + 1) < _bounds.MAX_BYTES
+    assert np.all(1.0 - special.pdtr(last, mus) <= 1e-15)
+    # and the tables built for the means below 1e4 end at that entry
+    for mu, top in zip(mus[mus < 1e4], last):
+        cdf = readout._poisson_cdf_table(mu, "mean_photons_at_fiber")
+        assert cdf.size == top + 1 and 1.0 - cdf[-1] <= 1e-15
+
+
+def test_a_table_short_of_the_tail_is_refused(monkeypatch):
+    pdtr = special.pdtr
+
+    def short(k, mu, out):
+        return np.multiply(pdtr(k, mu, out=out), 1.0 - 1e-14, out=out)
+
+    monkeypatch.setattr(special, "pdtr", short)
+    cfg = RunConfig(n_frames=10, detector=make_detector(0.0),
+                    noise=NoiseSpec.direct(0.3), source=PulseConfig(4.0))
+    with pytest.raises(ValueError, match="^mean_photons_at_fiber gives .* of the tail uncovered$"):
+        simulate_run(cfg)
 
 
 def test_leakage_rate_per_frame():
