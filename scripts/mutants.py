@@ -154,6 +154,14 @@ MUTANTS = (
            "                and value > 0\n",
            "",
            ("tests/test_cli.py::TestSweep::test_rate_of_zero_or_below_names_the_rate",)),
+    Mutant("the sweep memo keyed on the noise alone", CLI,
+           "    noise_sigma = functools.cache(cds_sigma)\n",
+           "    memo = {}\n\n"
+           "    def noise_sigma(spec, params):\n"
+           "        if spec not in memo:\n"
+           "            memo[spec] = cds_sigma(spec, params)\n"
+           "        return memo[spec]\n",
+           ("tests/test_cli.py::TestSweep::test_one_noise_per_detector",)),
     Mutant("the repeated-key refusal dropped", CLI,
            "    if len(set(keys)) < len(keys):\n",
            "    if False:\n",
@@ -177,9 +185,26 @@ MUTANTS = (
            "    if False:\n",
            ("tests/test_readout.py::test_a_table_short_of_the_tail_is_refused",)),
     Mutant("a default cutoff of ceil(2 mean) + 3", EST,
-           "        l_max = max(20, math.ceil(2.0 * float(mean)) + 2)\n",
-           "        l_max = max(20, math.ceil(2.0 * float(mean)) + 3)\n",
+           "        l_max = max(20, math.ceil(2.0 * float(n)) + 2)\n",
+           "        l_max = max(20, math.ceil(2.0 * float(n)) + 3)\n",
            ("tests/test_estimation.py::TestDefaultCutoff::test_bright_mean_is_not_truncated",)),
+    # one check of a point (n, sigma), one positive-definite test
+    Mutant("the sigma check dropped from _cutoff", EST,
+           "    if not 0.0 < sigma < math.inf:\n"
+           "        raise ValueError(f\"sigma must be finite and > 0, got {sigma}\")\n",
+           "",
+           ("tests/test_estimation.py::test_model_entry_points_refuse_bad_parameters"
+            "[map_boundaries-sigma-1.0--0.3]",)),
+    Mutant("the likelihood's n > 0 dropped", EST,
+           "    if not 0.0 < n < math.inf:\n"
+           "        raise ValueError(f\"n must be finite and > 0, got {n}\")\n",
+           "",
+           ("tests/test_estimation.py::test_point_entry_points_refuse_bad_parameters"
+            "[log_likelihood-0.0-0.3]",)),
+    Mutant("_positive_definite without det < inf", EST,
+           "    return i_nn > 0.0 and 0.0 < det < math.inf and math.isfinite(i_ss)\n",
+           "    return i_nn > 0.0 and 0.0 < det and math.isfinite(i_ss)\n",
+           ("tests/test_estimation.py::test_newton_takes_no_step_at_an_infinite_determinant",)),
     # the reset reduction and the chunked run
     Mutant("the successor table with side='right'", READOUT,
            '    jump[:n] = np.searchsorted(cum, cum + k, side="left")\n',

@@ -24,6 +24,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -399,6 +400,8 @@ def _cmd_sweep(args) -> int:
     # the swept sigma_e passes through cds_sigma unchanged, so drop the
     # derived column rather than emit a duplicate header
     emit_sigma = "sigma_e" not in keys
+    # one noise quadrature per distinct (noise, detector) pair
+    noise_sigma = functools.cache(cds_sigma)
     rows = []
     for point in itertools.product(*grids):
         raw = copy.deepcopy(cfg.raw)
@@ -416,7 +419,7 @@ def _cmd_sweep(args) -> int:
                 raw["noise"]["delta_t_cds_s"] = 0.5 / value
         point_cfg = parse_config(raw)
         det = point_cfg.detector
-        sigma_e = cds_sigma(point_cfg.noise, det)
+        sigma_e = noise_sigma(point_cfg.noise, det)
         n_mean = mean_carriers(point_cfg.source, det)
         derr = discrimination_error(n_mean, sigma_e)
         extra = (sigma_e,) if emit_sigma else ()

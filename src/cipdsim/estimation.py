@@ -23,14 +23,15 @@ Jennrich (1997, J. R. Stat. Soc. B 59:569). Plain EM converges linearly, at
 the rate of the fraction of missing information, which approaches 1 as the
 peaks overlap; the Newton steps converge quadratically, and the information
 at the returned point gives the standard error of ``n`` without a pass of
-its own. Every function that sums over the components takes
-``l_max=None`` for the cutoff ``max(20, ceil(2 n) + 2)`` of its Poisson
-mean ``n`` (``_cutoff``).
+its own. Every entry point that takes a point ``(n, sigma)`` first sets it
+up through ``_cutoff``, which refuses with ``ValueError`` an ``n`` not
+finite and >= 0 and a ``sigma`` not finite and > 0, and takes ``l_max=None``
+for the cutoff ``max(20, ceil(2 n) + 2)``; the likelihood, which takes
+``ln n``, also refuses ``n = 0``.
 
 Every likelihood pass (``fit_mixture``, ``log_likelihood``,
 ``log_likelihood_grad``, ``mixture_density``) has one set-up, ``_passes``,
-which refuses an ``n`` or ``sigma`` not finite and above 0 with
-``ValueError``, and runs over events in chunks of ``_EVENT_CHUNK`` through
+and runs over events in chunks of ``_EVENT_CHUNK`` through
 one workspace (:class:`_Workspace`): one buffer, whose log-terms are turned
 in place into exponentials, and ``_PASS_VECTORS`` chunk vectors that hold
 the pass's per-event values. No cell is normalised into a responsibility:
@@ -59,10 +60,6 @@ full sums over steep weights, are rare there. No sum over the components
 goes through BLAS, whose rounding can change with its thread count, and the
 Newton step solves its 2x2 system in closed form, so the fit gives the same
 bytes for any thread count.
-
-``discrimination_error`` takes a mean of 0, a dark source: only the ``l = 0``
-component is left, so it gives ``ndtr(-0.5 / sigma)`` in nearest mode and 0
-in map mode.
 """
 
 from __future__ import annotations
@@ -214,16 +211,21 @@ def _grid(events, bin_width: float):
         return grid, first, grid.max() - first + 1.0
 
 
-def _cutoff(mean: float, l_max: int | None = None) -> int:
-    """``l_max``, by default ``max(20, ceil(2 mean) + 2)``, 20 up to a mean of 9.
+def _cutoff(n: float, sigma: float, l_max: int | None = None) -> int:
+    """The set-up of a point ``(n, sigma)``: ``l_max``, by default ``max(20, ceil(2 n) + 2)``.
 
-    Refuses a non-finite mean for the default, and a cutoff whose
+    Refuses, in this order, an ``n`` that gives no finite default, an ``n``
+    not finite and >= 0, a ``sigma`` not finite and > 0, and a cutoff whose
     ``_WEIGHT_ARRAYS`` arrays of ``l_max + 1`` doubles reach the limit.
     """
     if l_max is None:
-        if not math.isfinite(2.0 * float(mean)):
-            raise ValueError(f"mean {mean} gives no finite l_max")
-        l_max = max(20, math.ceil(2.0 * float(mean)) + 2)
+        if not math.isfinite(2.0 * float(n)):
+            raise ValueError(f"mean {n} gives no finite l_max")
+        l_max = max(20, math.ceil(2.0 * float(n)) + 2)
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     refuse_over_limit(_WEIGHT_ARRAYS * (l_max + 1), f"a call at l_max {l_max}")
     return l_max
 
@@ -377,13 +379,13 @@ def _chunk_softmax(x, log_w, sigma, ws, k):
 def _passes(events, n, sigma, l_max, ws=None):
     """The iterator of :func:`_chunk_softmax` over the chunks of one pass at ``(n, sigma)``.
 
-    Checks ``n`` and ``sigma`` and sets the pass up when called, not at the
-    first chunk. The caller iterates it under ``np.errstate(all="ignore")``.
+    Sets the point and the pass up when called, not at the first chunk. The
+    caller iterates it under ``np.errstate(all="ignore")``.
     """
-    for name, value in (("n", n), ("sigma", sigma)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    l_max = _cutoff(n, l_max)
+    # ln n needs n > 0; checked before the cutoff, every bad n gets one message
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"n must be finite and > 0, got {n}")
+    l_max = _cutoff(n, sigma, l_max)
     if ws is None:
         ws = _Workspace(events.size, l_max)
     half_width = _band_half_width(n, sigma, l_max)
@@ -398,8 +400,7 @@ def mixture_density(x, n: float, sigma: float, l_max: int | None = None):
 
     Computed in log space so that large ``l_max`` and far tails do not
     underflow term-by-term. The density integrates to the Poisson mass below
-    the cutoff (slightly less than 1), matching the truncated sum. Raises
-    ``ValueError`` for an ``n`` or ``sigma`` that is not finite and above 0.
+    the cutoff (slightly less than 1), matching the truncated sum.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     chunks = _passes(x_arr, n, sigma, l_max)
@@ -419,8 +420,6 @@ def log_likelihood(events, n: float, sigma: float, l_max: int | None = None) -> 
     Uses log-sum-exp per event: the pass's ``lse`` alone, the bits of
     :func:`_em_pass`'s log-likelihood without its moments. If any event's
     density underflows to zero the function warns and returns ``-inf``.
-    Raises ``ValueError`` for an ``n`` or ``sigma`` that is not finite and
-    above 0.
     """
     events = np.asarray(events, dtype=float)
     if events.size == 0:
@@ -443,11 +442,10 @@ def log_likelihood_grad(
     """Gradient of :func:`log_likelihood` with respect to ``(n, sigma)``.
 
     Closed form in the EM statistics: ``sum(r l)/n - N`` and
-    ``sum(r d^2)/sigma^3 - N/sigma`` for ``N`` events. Raises ``ValueError``
-    for an ``n`` or ``sigma`` that is not finite and above 0.
+    ``sum(r d^2)/sigma^3 - N/sigma`` for ``N`` events.
     """
     events = np.asarray(events, dtype=float)
-    _, sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max)
+    sum_rl, sum_rsq = _em_pass(events, n, sigma, l_max)[1:3]
     return _gradient(events.size, n, sigma, sum_rl, sum_rsq)
 
 
@@ -456,18 +454,18 @@ def _gradient(size, n, sigma, sum_rl, sum_rsq):
     return sum_rl / n - size, (sum_rsq / sigma / sigma - size) / sigma
 
 
-def _em_pass(events, n, sigma, l_max, ws=None, information=False):
-    """One E-step: log-likelihood plus the sufficient statistics.
+def _em_pass(events, n, sigma, l_max, ws=None):
+    """One E-step: log-likelihood, sufficient statistics and observed information.
 
-    Returns ``(ll, sum(r l), sum(r d^2))`` over responsibilities ``r`` and
-    residuals ``d = x - l``; with ``information``, the observed information
-    ``(i_nn, i_ns, i_ss)`` of ``(n, sigma)`` at this point follows as a
-    fourth item, NaN where ll is -inf. The statistics and the information
-    come from moments of each event's exponentials (:func:`_moment_sums`),
-    so the pass holds one ``(k, chunk)`` buffer and normalises no cell of
-    it. Chunks come in a fixed order, so the sums do not depend on how the
-    event array was produced. ``ws`` is a :class:`_Workspace` for these
-    events and ``l_max``; without one the pass allocates its own.
+    Returns ``(ll, sum(r l), sum(r d^2), (i_nn, i_ns, i_ss))`` over
+    responsibilities ``r`` and residuals ``d = x - l``, the last item the
+    observed information of ``(n, sigma)`` at this point, NaN where ll is
+    -inf. The statistics and the information come from moments of each
+    event's exponentials (:func:`_moment_sums`), so the pass holds one
+    ``(k, chunk)`` buffer and normalises no cell of it. Chunks come in a
+    fixed order, so the sums do not depend on how the event array was
+    produced. ``ws`` is a :class:`_Workspace` for these events and
+    ``l_max``; without one the pass allocates its own.
     """
     chunks = _passes(events, n, sigma, l_max, ws)
     log_norm = -np.log(sigma) - _LOG_SQRT_2PI
@@ -478,11 +476,9 @@ def _em_pass(events, n, sigma, l_max, ws=None, information=False):
     with np.errstate(all="ignore"):
         for lo, shifted, e, lse, s, vectors in chunks:
             ll += float(np.add(lse, log_norm, out=lse).sum())
-            for i, term in enumerate(_moment_sums(lo, shifted, e, s, vectors, n, information)):
+            for i, term in enumerate(_moment_sums(lo, shifted, e, s, vectors, n)):
                 sums[i] += term
     sum_rl, sum_rsq, sum_nn, sum_cov, sum_var = sums
-    if not information:
-        return ll, sum_rl, sum_rsq
     if ll == -math.inf:  # an event with no density here: no information either
         return ll, sum_rl, sum_rsq, (math.nan, math.nan, math.nan)
     # each division by sigma on its own, so no power of it overflows
@@ -492,8 +488,8 @@ def _em_pass(events, n, sigma, l_max, ws=None, information=False):
     return ll, sum_rl, sum_rsq, info
 
 
-def _moment_sums(lo, shifted, e, s, vectors, n, information):
-    """One chunk's EM statistics from per-event moments; ``vectors`` and ``s`` overwritten.
+def _moment_sums(lo, shifted, e, s, vectors, n):
+    """One chunk's EM and information sums from event moments; ``vectors`` and ``s`` overwritten.
 
     ``e`` holds the unnormalised exponentials of the ``k`` band rows and
     ``s`` their sum (:func:`_chunk_softmax`); no cell is divided by ``s``.
@@ -507,9 +503,10 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
     exists. With ``d = x - lo - h``, ``E[l] = lo + h + c_1`` and the
     residual is ``x - l = d - u``, so ``E[(x - l)^2] = (d - c_1)^2 +
     Var(l)``, ``Var(l) = c_2 - c_1^2``, in electrons: no power of sigma is
-    formed. Returns ``(sum(r l), sum(r d^2))``; an event with ``s = 0`` (no
-    finite log-term) has responsibilities 0, so it adds nothing to the
-    first and ``(0 d) d`` to the second, which is NaN for an infinite event.
+    formed. Returns ``(sum(r l), sum(r d^2))`` and the three sums of the
+    information below; an event with ``s = 0`` (no finite log-term) has
+    responsibilities 0, so it adds nothing to the first and ``(0 d) d`` to
+    the second, which is NaN for an infinite event.
 
     The moments lose what lies below ``eps c_2``, and ``lo + h + c_1``
     what lies below ``eps (lo + h)``: little for an event whose mass lies
@@ -522,8 +519,8 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
     edge or far below the Poisson mean. Runs under the pass's ``np.errstate``,
     like :func:`_chunk_softmax`: only an event far outside its band overflows.
 
-    With ``information`` three more sums follow, for Louis's identity
-    (Louis 1982): of ``E[l] - Var(l)``, ``Cov(l, (x - l)^2)`` and ``Var((x
+    The information's three sums, for Louis's identity (Louis 1982), are
+    those of ``E[l] - Var(l)``, ``Cov(l, (x - l)^2)`` and ``Var((x
     - l)^2)``. With ``v = Var(l)`` and ``A = c_3 - c_1 c_2 = Cov(u, u^2)``,
     ``Cov(l, (x - l)^2) = A - 2 d v`` and ``Var((x - l)^2) = c_4 - c_2^2 -
     4 d A + 4 d^2 v``. The complete-data scores are ``l / n - 1`` and ``(t^2
@@ -549,16 +546,14 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
             np.copyto(pair_sum, e[down])
             np.negative(e[down], out=pair_diff)
         if delta == 1:
-            if information:
-                np.copyto(c3, c1)
-                np.copyto(c4, c2)
+            np.copyto(c3, c1)
+            np.copyto(c4, c2)
             continue
         delta2 = float(delta * delta)
         np.add(c1, np.multiply(odd, delta, out=odd), out=c1)
         np.add(c2, np.multiply(even, delta2, out=even), out=c2)
-        if information:
-            np.add(c3, np.multiply(odd, delta2, out=odd), out=c3)
-            np.add(c4, np.multiply(even, delta2, out=even), out=c4)
+        np.add(c3, np.multiply(odd, delta2, out=odd), out=c3)
+        np.add(c4, np.multiply(even, delta2, out=even), out=c4)
     lo_sum = int(lo.sum())
     live = size
     if not s.all():
@@ -567,7 +562,7 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
         live -= int(np.count_nonzero(dead))
         lo_sum -= int(lo[dead].sum())
     inv_s = np.divide(1.0, s, out=s)
-    for moment in (c1, c2, c3, c4) if information else (c1, c2):
+    for moment in (c1, c2, c3, c4):
         np.multiply(moment, inv_s, out=moment)
     centres = lo_sum + h * live  # sum(lo + h) over the events with s > 0
     sum_rl = float(centres) + float(c1.sum())
@@ -592,8 +587,6 @@ def _moment_sums(lo, shifted, e, s, vectors, n, information):
             np.add(var, np.multiply(np.multiply(e[j], sq, out=e[j]), sq, out=e[j]), out=var)
         sum_rsq = float(np.multiply(var, inv_s, out=var).sum())
         np.subtract(c2, np.multiply(c1, c1, out=var), out=var)
-    if not information:
-        return sum_rl, sum_rsq
     d, tmp = np.subtract(shifted, h, out=shifted), sq
     sum_nn = float(np.subtract(c1, var, out=tmp).sum()) + centres
     # c3 <- A - d v, tmp <- A - 2 d v, with A = c3 - c1 c2 = Cov(u, u^2)
@@ -677,7 +670,9 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         sample_mean = float(np.mean(events))
     if not np.isfinite(sample_mean):
         raise ValueError(f"the sample mean of the events is {sample_mean}, not finite")
-    l_max = _cutoff(sample_mean, l_max)
+    # the start point, whose cutoff is the sample mean's for any finite mean
+    theta = (max(sample_mean, 0.05), 0.3)
+    l_max = _cutoff(*theta, l_max)
     ws = _Workspace(events.size, l_max)
     if sample_mean > l_max / 2.0:
         raise ValueError(
@@ -697,7 +692,7 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
         nonlocal passes
         passes += 1
         n, sigma = theta
-        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, ws, information=True)
+        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, ws)
         image = (max(sum_rl / events.size, _N_FLOOR),
                  max(float(np.sqrt(sum_rsq / events.size)), SIGMA_FLOOR))
         g_n, g_s = _gradient(events.size, n, sigma, sum_rl, sum_rsq)
@@ -726,7 +721,6 @@ def fit_mixture(events, l_max: int | None = None) -> MixtureFit:
 
     # theta is the last accepted point, ll its log-likelihood, image its EM
     # image, and proposal, decrement and info those of its Newton step
-    theta = (max(sample_mean, 0.05), 0.3)
     ll, image, proposal, decrement, info = em_map(theta)
     converged = False
     while passes < _EM_ITERATIONS:
@@ -789,19 +783,24 @@ def _newton(g_n, g_s, info):
 
     ``I`` is the 2x2 observed information ``(i_nn, i_ns, i_ss)`` and ``g``
     the gradient, both of ``(n, sigma)``; the inverse is in closed form, so
-    no BLAS or LAPACK call is made. The step is None unless ``I`` is
-    positive definite; the decrement is ``g^T I^-1 g / 2`` (NaN where ``I``
-    is singular).
+    no BLAS or LAPACK call is made. Where ``I`` is not positive definite
+    (:func:`_positive_definite`) it is ``(None, nan)``; otherwise the step is
+    None unless the decrement ``g^T I^-1 g / 2`` is finite.
     """
+    if not _positive_definite(info):
+        return None, math.nan
     i_nn, i_ns, i_ss = info
     det = i_nn * i_ss - i_ns * i_ns
-    if not det != 0.0:
-        return None, math.nan
-    step_n, step_s = (i_ss * g_n - i_ns * g_s) / det, (i_nn * g_s - i_ns * g_n) / det
-    decrement = 0.5 * (g_n * step_n + g_s * step_s)
-    if not (i_nn > 0.0 and det > 0.0 and math.isfinite(decrement)):
-        return None, decrement
-    return (step_n, step_s), decrement
+    step = (i_ss * g_n - i_ns * g_s) / det, (i_nn * g_s - i_ns * g_n) / det
+    decrement = 0.5 * (g_n * step[0] + g_s * step[1])
+    return (step if math.isfinite(decrement) else None), decrement
+
+
+def _positive_definite(info):
+    """Whether ``(i_nn, i_ns, i_ss)`` has ``i_nn > 0``, ``0 < det < inf`` and a finite ``i_ss``."""
+    i_nn, i_ns, i_ss = info
+    det = i_nn * i_ss - i_ns * i_ns
+    return i_nn > 0.0 and 0.0 < det < math.inf and math.isfinite(i_ss)
 
 
 def _standard_error(n_hat, info):
@@ -819,7 +818,7 @@ def _standard_error(n_hat, info):
     reasons = []
     if n_hat <= _N_FLOOR:
         reasons.append(f"n_hat is at its floor {_N_FLOOR}")
-    if not (i_nn > 0.0 and 0.0 < det < math.inf and math.isfinite(i_ss)):
+    if not _positive_definite(info):
         reasons.append("the observed information is not positive definite")
     stderr_n = math.sqrt(var_n) if math.isfinite(var_n) and var_n > 0.0 else math.nan
     return stderr_n, "; ".join(reasons) or None
@@ -833,7 +832,7 @@ def map_boundaries(n: float, sigma: float, l_max: int | None = None) -> np.ndarr
     ``l + 1/2 + sigma^2 ln((l+1)/n)``; boundaries shift toward the
     lower-prior component.
     """
-    l_max = _cutoff(n, l_max)
+    l_max = _cutoff(n, sigma, l_max)
     out = np.arange(1.0, l_max + 1.0)  # l + 1
     with np.errstate(divide="ignore"):  # n = 0 puts every boundary at +inf
         np.divide(out, n, out=out)
@@ -869,17 +868,15 @@ def discrimination_error(
     ``eps`` Gaussian of width ``sigma``; closed form via the normal CDF.
     In nearest mode the l=0 component can only err upward (negative values
     round to zero), and at ``n = 0``, the only one left, gives ``ndtr(-0.5 / sigma)``; map
-    mode gives 0 there. Raises ``ValueError`` for an ``n`` not finite and at least 0.
+    mode gives 0 there. Noiseless, at ``sigma = 0``, no component errs: the
+    point is checked at ``sigma = 1`` and the error is 0.
     """
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"n must be finite and >= 0, got {n}")
-    if sigma == 0:
+    noiseless = sigma == 0
+    l_max = _cutoff(n, 1.0 if noiseless else sigma, l_max)
+    if noiseless:
         return 0.0
-    if not sigma > 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if mode not in ("nearest", "map"):
         raise ValueError(f"mode must be 'nearest' or 'map', got {mode!r}")
-    l_max = _cutoff(n, l_max)
     if mode == "nearest":
         q = special.ndtr(-0.5 / sigma)
         per_comp = np.full(l_max + 1, 2.0 * q)
@@ -934,7 +931,7 @@ def expected_bin_counts(
     whose weight underflows to 0 (they would add exactly 0). The result is
     written into the term buffer, as ``build_histogram`` counts.
     """
-    l_max = _cutoff(n, l_max)
+    l_max = _cutoff(n, sigma, l_max)
     edges = hist.bin_edges
     weights = np.exp(_log_poisson_weights(n, _log_factorials(l_max)))
     cdf_at_edges = np.zeros(edges.size)

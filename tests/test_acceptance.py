@@ -212,7 +212,7 @@ class TestCriterion6Properties:
             l_max = 30 if n > 10 else 20
             prev = -np.inf
             for _ in range(200):
-                ll, s_rl, s_rsq = _em_pass(events, n, sig, l_max)
+                ll, s_rl, s_rsq = _em_pass(events, n, sig, l_max)[:3]
                 drop = prev - ll
                 worst = max(worst, drop)
                 if abs(ll - prev) < 1e-8:

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cipdsim import _bounds, cli, default_config_path, estimation, readout
+from cipdsim import _bounds, cli, default_config_path, estimation, noise, readout
+from cipdsim.config import parse_config
 
 
 def run_cli(*args, cwd=None):
@@ -747,6 +748,38 @@ class TestSweep:
         assert lines[0].startswith("c_input_pf,mean_photons,")
         assert len(lines) == 5
 
+    @pytest.fixture
+    def noise_calls(self, monkeypatch):
+        """The arguments of every ``cli.cds_sigma`` call."""
+        calls = []
+
+        def counting(spec, params):
+            calls.append((spec, params))
+            return noise.cds_sigma(spec, params)
+
+        monkeypatch.setattr(cli, "cds_sigma", counting)
+        return calls
+
+    def test_one_noise_for_a_swept_mean(self, tmp_path, noise_calls):
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--out", str(out), "--param", "mean_photons=1:1000:1"]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1001
+        assert len(noise_calls) == 1
+
+    def test_one_noise_per_detector(self, tmp_path, noise_calls):
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--out", str(out), "--param", "mean_photons=1:3:1",
+                         "--param", "c_input_pf=0.05:0.06:0.005"]) == 0
+        assert len(noise_calls) == 3
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("mean_photons,c_input_pf,sigma_e,")
+        raw = json.loads(default_config_path().read_text())
+        for line in lines[1:]:
+            _, c_input_pf, sigma_e = map(float, line.split(",")[:3])
+            raw["detector"]["c_input_pf"] = c_input_pf
+            cfg = parse_config(raw)
+            assert sigma_e == noise.cds_sigma(cfg.noise, cfg.detector)
+
     def test_unknown_key_exit_1(self, tmp_path):
         res = run_cli("sweep", "--out", tmp_path, "--param", "bogus=1:2:1")
         assert res.returncode == 1
@@ -919,7 +952,7 @@ class TestErrorContract:
     def test_em_likelihood_decrease_exit_2(self, tmp_path, capsys, monkeypatch):
         lls = iter([-10.0, -20.0])
 
-        def broken_pass(events, n, sigma, l_max, ws=None, information=False):
+        def broken_pass(events, n, sigma, l_max, ws=None):
             # an information that is not positive definite sends the fit to EM
             return next(lls), n * events.size, sigma**2 * events.size, (0.0, 0.0, 0.0)
 

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import subprocess
@@ -496,11 +497,11 @@ def reference_density(x, n, sigma, l_max):
 def assert_kernel_matches_reference(events, n, sigma, l_max):
     """Exact equality with the banded reference, with and without a reused workspace."""
     want = banded_reference_em_pass(events, n, sigma, l_max)
-    assert _em_pass(events, n, sigma, l_max) == want
+    assert _em_pass(events, n, sigma, l_max)[:3] == want
     # a workspace that already holds another pass must not leak into this one
     ws = _Workspace(events.size, l_max)
     _em_pass(events, 0.5 * n + 1.0, 2.0 * sigma, l_max, ws)
-    assert _em_pass(events, n, sigma, l_max, ws) == want
+    assert _em_pass(events, n, sigma, l_max, ws)[:3] == want
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert log_likelihood(events, n, sigma, l_max) == reference_log_likelihood(
@@ -512,7 +513,7 @@ def assert_kernel_matches_reference(events, n, sigma, l_max):
 def assert_band_matches_full_sum(events, n, sigma, l_max):
     """Every kernel entry point within 1e-12 of the full sum; equal where nothing is banded."""
     want = reference_em_pass(events, n, sigma, l_max)
-    got = _em_pass(events, n, sigma, l_max)
+    got = _em_pass(events, n, sigma, l_max)[:3]
     if estimation._band_half_width(n, sigma, l_max) is None:
         assert got[0] == want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
@@ -575,7 +576,7 @@ def assert_agrees_with_two_buffer_pass(events, n, sigma, l_max):
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, as the two-buffer pass
-        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, information=True)
+        ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max)
         want = two_buffer_em_pass(events, n, sigma, l_max)
         rsq_scale, info_scale = two_buffer_magnitudes(events, n, sigma, l_max)
     assert ll == want[0] or (np.isnan(ll) and np.isnan(want[0]))
@@ -652,7 +653,7 @@ class TestExactKernel:
         assert estimation._band_half_width(2.55, 0.33, 20) is not None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, as the full sum
-            got = _em_pass(events, 2.55, 0.33, 20)
+            got = _em_pass(events, 2.55, 0.33, 20)[:3]
             want = reference_em_pass(events, 2.55, 0.33, 20)
             density = mixture_density(events, 2.55, 0.33, 20)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
@@ -677,7 +678,7 @@ class TestExactKernel:
         events[-1] = 1e200  # the one event of the second chunk underflows
         with pytest.warns(RuntimeWarning, match="underflow"):
             assert log_likelihood(events, 2.4, 0.3) == float("-inf")
-        assert _em_pass(events, 2.4, 0.3, 20) == banded_reference_em_pass(events, 2.4, 0.3, 20)
+        assert _em_pass(events, 2.4, 0.3, 20)[:3] == banded_reference_em_pass(events, 2.4, 0.3, 20)
 
     @pytest.mark.parametrize("n, sigma, l_max", [(2.55, 0.33, 20), (1e-9, 0.26, 20),
                                                  (2.85, 2.0, 21), (5.0, 0.6, 40)])
@@ -820,8 +821,8 @@ def finite_difference_information(events, n, sigma, l_max):
 
 def assert_information_matches_finite_differences(events, n, sigma, l_max):
     """Each entry within 1e-5 of its scale, ``sqrt(|I_aa I_bb|)`` for the entry ``(a, b)``."""
-    ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max, information=True)
-    assert (ll, sum_rl, sum_rsq) == _em_pass(events, n, sigma, l_max)
+    ll, sum_rl, sum_rsq, info = _em_pass(events, n, sigma, l_max)
+    assert (ll, sum_rl, sum_rsq) == _em_pass(events, n, sigma, l_max)[:3]
     want = finite_difference_information(events, n, sigma, l_max)
     scale = (abs(want[0]), math.sqrt(abs(want[0] * want[2])), abs(want[2]))
     for got_i, want_i, scale_i in zip(info, want, scale):
@@ -879,7 +880,7 @@ class TestObservedInformation:
                                                (2.85, 0.33, 1e-8)])
     def test_matches_the_central_moments(self, n, sigma, rel):
         events = draw_mixture_events(n, sigma, 2000, seed=27)
-        info = _em_pass(events, n, sigma, 20, information=True)[3]
+        info = _em_pass(events, n, sigma, 20)[3]
         want = reference_information(events, n, sigma, 20)
         scale = (abs(want[0]), math.sqrt(abs(want[0] * want[2])), abs(want[2]))
         for got_i, want_i, scale_i in zip(info, want, scale):
@@ -894,6 +895,20 @@ class TestObservedInformation:
         assert fit.stderr_n == pytest.approx(math.sqrt(var_n), rel=1e-6)
 
 
+def test_newton_takes_no_step_at_an_infinite_determinant():
+    # det = 1e400 overflows: the step I^-1 g would read 0, a false convergence
+    assert estimation._newton(1.0, 1.0, (1e200, 0.0, 1e200))[0] is None
+
+
+def test_newton_steps_exactly_where_the_information_is_positive_definite():
+    values = (0.0, 1.0, -1.0, 1e200, -1e200, 1e-200, -1e-200, np.inf, -np.inf, np.nan)
+    for info in itertools.product(values, repeat=3):
+        step, _ = estimation._newton(1.0, 1.0, info)
+        _, degenerate = estimation._standard_error(1.0, info)
+        not_pd = degenerate == "the observed information is not positive definite"
+        assert (step is None) == not_pd, info
+
+
 def plain_em(events, l_max):
     """The EM loop of acceptance criterion 6, run to the fit's pass cap.
 
@@ -903,7 +918,7 @@ def plain_em(events, l_max):
     n, sig = max(float(np.mean(events)), 0.05), 0.3
     prev = -np.inf
     for _ in range(estimation._EM_ITERATIONS):
-        ll, s_rl, s_rsq = _em_pass(events, n, sig, l_max)
+        ll, s_rl, s_rsq = _em_pass(events, n, sig, l_max)[:3]
         if abs(ll - prev) < 1e-8:
             return ll, True
         prev = ll
@@ -1008,6 +1023,50 @@ def test_point_entry_points_refuse_bad_parameters(entry, n, sigma):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite and > 0"):
             POINT_ENTRY_POINTS[entry](events, n, sigma)
+
+
+#: The entry points beside the likelihood that take a point ``(n, sigma)``,
+#: called with a histogram, the point and the cutoff ``l_max``.
+MODEL_ENTRY_POINTS = {
+    "map_boundaries": lambda hist, n, sigma, l_max: map_boundaries(n, sigma, l_max),
+    "classify": lambda hist, n, sigma, l_max: classify(0.4, n, sigma, "map", l_max),
+    "discrimination_error": lambda hist, n, sigma, l_max: discrimination_error(
+        n, sigma, "map", l_max),
+    "discrimination_error_nearest": lambda hist, n, sigma, l_max: discrimination_error(
+        n, sigma, "nearest", l_max),
+    "expected_bin_counts": lambda hist, n, sigma, l_max: expected_bin_counts(
+        hist, n, sigma, l_max),
+}
+
+
+@pytest.mark.parametrize("name, n, sigma", [*(("n", n, 0.3) for n in (-1.0, np.nan, np.inf)),
+                                            *(("sigma", 1.0, s) for s in (-0.3, np.nan, np.inf))])
+@pytest.mark.parametrize("entry", sorted(MODEL_ENTRY_POINTS))
+def test_model_entry_points_refuse_bad_parameters(monkeypatch, entry, name, n, sigma):
+    # the one check of _cutoff, before any warning or array
+    hist = build_histogram([0.0, 1.0, 2.0], 0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused point allocated an array")
+
+    for attr in ("empty", "arange", "zeros", "full"):
+        monkeypatch.setattr(np, attr, refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            MODEL_ENTRY_POINTS[entry](hist, n, sigma, 20)
+
+
+def test_expected_bin_counts_of_a_dark_source():
+    # n = 0 is a point of the model: all the mass sits in the l = 0 peak
+    hist = build_histogram(draw_mixture_events(0.0, 0.3, 1000, seed=3), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = expected_bin_counts(hist, 0.0, 0.3)
+    assert np.all(counts >= 0.0)
+    edges = hist.bin_edges
+    want = hist.total * (special.ndtr(edges[-1] / 0.3) - special.ndtr(edges[0] / 0.3))
+    assert counts.sum() == pytest.approx(want, rel=1e-12)
 
 
 class TestWorkspaceBound:
@@ -1262,7 +1321,7 @@ class TestDefaultCutoff:
 
     @pytest.mark.parametrize("n", [0.05, 1.07, 2.85, 9.0])
     def test_twenty_up_to_a_mean_of_nine(self, n):
-        assert estimation._cutoff(n) == 20
+        assert estimation._cutoff(n, 0.3) == 20
         assert discrimination_error(n, 0.3, "map") == discrimination_error(
             n, 0.3, "map", l_max=20
         )
@@ -1272,7 +1331,7 @@ class TestDefaultCutoff:
         )
 
     def test_bright_mean_is_not_truncated(self):
-        assert estimation._cutoff(30.0) == 62
+        assert estimation._cutoff(30.0, 0.3) == 62
         assert classify(25.0, 30.0, 0.3, "map") == 25
         # interior components dominate: every one errs two-sided
         assert discrimination_error(70.0, 0.3) == pytest.approx(
